@@ -9,10 +9,9 @@
 
 use crate::method::{MethodOutcome, RepairMethod};
 use std::time::{Duration, Instant};
-use uvllm::stages::{directed_stage_with, UvmOutcome};
+use uvllm::stages::{directed_stage, UvmOutcome};
 use uvllm_designs::Design;
 use uvllm_llm::{AgentRole, CompleteResponse, ErrorInfo, LlmService, OutputMode, RepairPrompt};
-use uvllm_sim::SimBackend;
 
 /// MEIC-style baseline: iterate LLM whole-code repairs against the
 /// finite public testbench, feeding raw logs back, until the tests pass
@@ -21,20 +20,13 @@ pub struct MeicRepair<'m> {
     llm: &'m mut dyn LlmService,
     /// Iteration budget (MEIC uses a dual-agent loop of ~10 rounds).
     pub max_iterations: usize,
-    backend: SimBackend,
 }
 
 impl<'m> MeicRepair<'m> {
     /// Wraps an LLM service handle (see [`uvllm_llm::DirectService`]
     /// for adapting a bare model).
     pub fn new(llm: &'m mut dyn LlmService) -> Self {
-        MeicRepair { llm, max_iterations: 10, backend: SimBackend::from_env() }
-    }
-
-    /// Runs the method's internal acceptance tests on `backend`.
-    pub fn with_backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
-        self
+        MeicRepair { llm, max_iterations: 10 }
     }
 }
 
@@ -51,7 +43,7 @@ impl RepairMethod for MeicRepair<'_> {
             iterations += 1;
             let wall = Instant::now();
             // Run the method's own (weak) acceptance test.
-            let log = match directed_stage_with(&code, design, self.backend) {
+            let log = match directed_stage(&code, design) {
                 UvmOutcome::Ran(run) => {
                     if run.all_passed() {
                         // NOTE: if the weak tests never trip over the
@@ -98,7 +90,7 @@ impl RepairMethod for MeicRepair<'_> {
         // from a final check.
         let wall = Instant::now();
         let claimed = matches!(
-            directed_stage_with(&code, design, self.backend),
+            directed_stage(&code, design),
             UvmOutcome::Ran(r) if r.all_passed()
         );
         time += wall.elapsed();
@@ -119,20 +111,13 @@ pub struct GptDirect<'m> {
     llm: &'m mut dyn LlmService,
     /// Samples per instance (the paper asks the model 5 times).
     pub samples: usize,
-    backend: SimBackend,
 }
 
 impl<'m> GptDirect<'m> {
     /// Wraps an LLM service handle (see [`uvllm_llm::DirectService`]
     /// for adapting a bare model).
     pub fn new(llm: &'m mut dyn LlmService) -> Self {
-        GptDirect { llm, samples: 5, backend: SimBackend::from_env() }
-    }
-
-    /// Runs the method's internal acceptance tests on `backend`.
-    pub fn with_backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
-        self
+        GptDirect { llm, samples: 5 }
     }
 }
 
@@ -158,7 +143,7 @@ impl RepairMethod for GptDirect<'_> {
             }
             let wall = Instant::now();
             let passed = matches!(
-                directed_stage_with(&resp.code, design, self.backend),
+                directed_stage(&resp.code, design),
                 UvmOutcome::Ran(r) if r.all_passed()
             );
             time += wall.elapsed();

@@ -8,11 +8,10 @@
 
 use crate::method::{MethodOutcome, RepairMethod};
 use std::time::Instant;
-use uvllm::stages::{directed_stage_with, UvmOutcome};
+use uvllm::stages::{directed_stage, UvmOutcome};
 use uvllm_designs::Design;
 use uvllm_dfg::Dfg;
 use uvllm_llm::Usage;
-use uvllm_sim::SimBackend;
 use uvllm_verilog::lexer::tokenize;
 use uvllm_verilog::span::{LineMap, Span};
 use uvllm_verilog::token::{Token, TokenKind};
@@ -134,8 +133,8 @@ fn apply(src: &str, c: &Candidate) -> String {
 
 /// Runs the public tests; `Some(true)` = pass, `Some(false)` = fail,
 /// `None` = does not build.
-fn public_verdict(design: &Design, code: &str, backend: SimBackend) -> Option<bool> {
-    match directed_stage_with(code, design, backend) {
+fn public_verdict(design: &Design, code: &str) -> Option<bool> {
+    match directed_stage(code, design) {
         UvmOutcome::Ran(run) => Some(run.all_passed()),
         UvmOutcome::BuildFailed(_) => None,
     }
@@ -148,13 +147,12 @@ fn template_search(
     src: &str,
     candidates: Vec<Candidate>,
     budget: usize,
-    backend: SimBackend,
 ) -> MethodOutcome {
     let wall = Instant::now();
     let mut iterations = 0;
     // Unrepaired code that already passes: accept as-is (the escape
     // hatch the paper criticises).
-    if public_verdict(design, src, backend) == Some(true) {
+    if public_verdict(design, src) == Some(true) {
         return MethodOutcome {
             final_code: src.to_string(),
             claimed_success: true,
@@ -169,7 +167,7 @@ fn template_search(
         if candidate == src {
             continue;
         }
-        if public_verdict(design, &candidate, backend) == Some(true) {
+        if public_verdict(design, &candidate) == Some(true) {
             return MethodOutcome {
                 final_code: candidate,
                 claimed_success: true,
@@ -196,19 +194,12 @@ fn template_search(
 pub struct StriderRepair {
     /// Candidate budget per instance.
     pub budget: usize,
-    backend: SimBackend,
 }
 
 impl StriderRepair {
     /// Default configuration (300-candidate budget).
     pub fn new() -> Self {
-        StriderRepair { budget: 300, backend: SimBackend::from_env() }
-    }
-
-    /// Runs the method's internal acceptance tests on `backend`.
-    pub fn with_backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
-        self
+        StriderRepair { budget: 300 }
     }
 }
 
@@ -230,7 +221,7 @@ impl RepairMethod for StriderRepair {
             };
         };
         // Localize: which outputs mismatch on the public tests?
-        let mismatch_signals: Vec<String> = match directed_stage_with(src, design, self.backend) {
+        let mismatch_signals: Vec<String> = match directed_stage(src, design) {
             UvmOutcome::Ran(run) => {
                 let mut s: Vec<String> = run.mismatches.iter().map(|m| m.signal.clone()).collect();
                 s.sort();
@@ -254,7 +245,7 @@ impl RepairMethod for StriderRepair {
         if candidates.is_empty() {
             candidates = template_candidates(src, None);
         }
-        template_search("Strider", design, src, candidates, self.budget, self.backend)
+        template_search("Strider", design, src, candidates, self.budget)
     }
 }
 
@@ -265,19 +256,12 @@ impl RepairMethod for StriderRepair {
 pub struct RtlRepair {
     /// Candidate budget per instance.
     pub budget: usize,
-    backend: SimBackend,
 }
 
 impl RtlRepair {
     /// Default configuration (400-candidate budget).
     pub fn new() -> Self {
-        RtlRepair { budget: 400, backend: SimBackend::from_env() }
-    }
-
-    /// Runs the method's internal acceptance tests on `backend`.
-    pub fn with_backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
-        self
+        RtlRepair { budget: 400 }
     }
 }
 
@@ -300,7 +284,7 @@ impl RepairMethod for RtlRepair {
         // the generic operator/constant space.
         let mut candidates = bitwidth_candidates(src);
         candidates.extend(template_candidates(src, None));
-        template_search("RTLrepair", design, src, candidates, self.budget, self.backend)
+        template_search("RTLrepair", design, src, candidates, self.budget)
     }
 }
 

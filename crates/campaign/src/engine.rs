@@ -44,8 +44,8 @@ pub struct CampaignConfig {
     pub workers: usize,
     /// Which `i/n` slice of the job space this process owns.
     pub shard: ShardSpec,
-    /// Simulation kernel every job runs on (recorded per row; the two
-    /// kernels are waveform-identical, so verdicts do not depend on it).
+    /// Simulation kernel every job runs on (recorded per row as
+    /// `"backend":"event"`; the event kernel is the only one).
     pub backend: SimBackend,
     /// `Some` runs every job's LLM traffic through one shared
     /// [`BatchedLlm`] with this flush policy; `None` (default) gives
@@ -101,7 +101,7 @@ impl Default for CampaignConfig {
             methods: MethodKind::ALL.to_vec(),
             workers: 0,
             shard: ShardSpec::default(),
-            backend: SimBackend::from_env(),
+            backend: SimBackend::EventDriven,
             llm_batch: None,
             llm_latency: None,
             llm_telemetry: false,
@@ -301,18 +301,7 @@ impl Campaign {
             }
         }
         for design in &golden {
-            match self.config.backend {
-                // The compiled cache has no in-flight dedup, so warming
-                // it here (before the pool starts) is what makes
-                // per-design levelization happen exactly once; it pulls
-                // the elaboration through its own cache on the way.
-                SimBackend::Compiled => {
-                    let _ = uvllm_sim::compile_source_cached(design.source, design.name);
-                }
-                SimBackend::EventDriven => {
-                    let _ = uvllm_sim::elaborate_source_cached(design.source, design.name);
-                }
-            }
+            let _ = uvllm_sim::elaborate_source_cached(design.source, design.name);
         }
 
         let all_jobs = expand_jobs(&instances, &self.config.methods);
@@ -438,26 +427,15 @@ impl Campaign {
 
 /// Evaluates one method over pre-built instances on a worker pool,
 /// returning records in instance order — the parallel engine behind
-/// `uvllm_bench::harness::evaluate`. Runs on the process-default
-/// simulation backend.
+/// `uvllm_bench::harness::evaluate`.
 pub fn evaluate_parallel(
     method: MethodKind,
     instances: &[BenchInstance],
     workers: usize,
 ) -> Vec<EvalRecord> {
-    evaluate_parallel_with(method, instances, workers, SimBackend::from_env())
-}
-
-/// [`evaluate_parallel`] on an explicit simulation backend.
-pub fn evaluate_parallel_with(
-    method: MethodKind,
-    instances: &[BenchInstance],
-    workers: usize,
-    backend: SimBackend,
-) -> Vec<EvalRecord> {
     let shared: Vec<Arc<BenchInstance>> = instances.iter().cloned().map(Arc::new).collect();
     let jobs = expand_jobs(&shared, &[method]);
-    run_pool(jobs, workers.max(1), backend, &LlmPolicy::direct(), |_, _| {})
+    run_pool(jobs, workers.max(1), SimBackend::EventDriven, &LlmPolicy::direct(), |_, _| {})
 }
 
 #[cfg(test)]

@@ -306,7 +306,8 @@ pub struct EvalRow {
     pub category: String,
     /// Method label.
     pub method: String,
-    /// Simulation-kernel label (`event` / `compiled`).
+    /// Simulation-kernel label (`event`; rows from before the compiled
+    /// kernel's removal may say `compiled`).
     pub backend: String,
     pub hit: bool,
     pub fixed: bool,
@@ -476,40 +477,25 @@ impl EvalRow {
     }
 }
 
-/// Evaluates `method` on one instance on the process-default simulation
-/// backend ([`SimBackend::from_env`]).
+/// Evaluates `method` on one instance, with a per-job
+/// [`DirectService`] around the job's oracle.
 pub fn evaluate_one(method: MethodKind, inst: &BenchInstance) -> EvalRecord {
-    evaluate_one_with(method, inst, SimBackend::from_env())
+    evaluate_one_on(method, inst, SimBackend::EventDriven, &LlmPolicy::direct())
 }
 
-/// Evaluates `method` on one instance on an explicit simulation
-/// backend, with a per-job [`DirectService`] around the job's oracle.
-pub fn evaluate_one_with(
-    method: MethodKind,
-    inst: &BenchInstance,
-    backend: SimBackend,
-) -> EvalRecord {
-    evaluate_one_on(method, inst, backend, &LlmPolicy::direct())
-}
-
-/// Evaluates `method` on one instance under an explicit simulation
-/// backend and LLM dispatch policy.
+/// Evaluates `method` on one instance under an explicit LLM dispatch
+/// policy; `backend` is the kernel label the record carries.
 ///
 /// Everything stochastic is derived from the instance seed and the
 /// method salt, so the record is a pure function of its job — the
-/// bedrock of campaign determinism and resumability. The two backends
-/// are waveform-identical (enforced by the differential equivalence
-/// suite) and the LLM policy only changes *where* the job's own model
-/// answers (inline vs. on the shared service thread), so backend and
-/// policy change wall-clock, not verdicts.
+/// bedrock of campaign determinism and resumability. The LLM policy
+/// only changes *where* the job's own model answers (inline vs. on the
+/// shared service thread), so it changes wall-clock, not verdicts.
 ///
 /// Per-job cost model: every metric run crosses the scoreboard
 /// boundary through the index-based `IoFrame` exchange (zero
-/// allocations per checked cycle), and on the compiled backend the
-/// repeated runs over one candidate text share a pooled, state-reset
-/// `CompiledSim` instance (`uvllm_sim::checkout_sim`) instead of
-/// re-instantiating per run — `reset_state` makes a reused instance
-/// indistinguishable from a fresh one, so determinism is unaffected.
+/// allocations per checked cycle), and the repeated runs over one
+/// candidate text share one cached elaboration.
 pub fn evaluate_one_on(
     method: MethodKind,
     inst: &BenchInstance,
@@ -560,7 +546,7 @@ pub fn evaluate_one_on(
             MethodKind::Meic => {
                 let mut service =
                     llm.service_for_job(oracle(ModelProfile::Gpt4TurboWeakHarness), oracle_seed);
-                let mut m = MeicRepair::new(&mut *service).with_backend(backend);
+                let mut m = MeicRepair::new(&mut *service);
                 let out = m.repair(design, &inst.mutated_src);
                 (
                     out.final_code,
@@ -576,7 +562,7 @@ pub fn evaluate_one_on(
             MethodKind::GptDirect => {
                 let mut service =
                     llm.service_for_job(oracle(ModelProfile::Gpt4TurboWeakHarness), oracle_seed);
-                let mut m = GptDirect::new(&mut *service).with_backend(backend);
+                let mut m = GptDirect::new(&mut *service);
                 let out = m.repair(design, &inst.mutated_src);
                 (
                     out.final_code,
@@ -590,7 +576,7 @@ pub fn evaluate_one_on(
                 )
             }
             MethodKind::Strider => {
-                let mut m = StriderRepair::new().with_backend(backend);
+                let mut m = StriderRepair::new();
                 let out = m.repair(design, &inst.mutated_src);
                 (
                     out.final_code,
@@ -604,7 +590,7 @@ pub fn evaluate_one_on(
                 )
             }
             MethodKind::RtlRepair => {
-                let mut m = RtlRepair::new().with_backend(backend);
+                let mut m = RtlRepair::new();
                 let out = m.repair(design, &inst.mutated_src);
                 (
                     out.final_code,
@@ -620,7 +606,7 @@ pub fn evaluate_one_on(
         }
     };
     // `stage_us.simulate`: the verdict runs driving the final candidate
-    // through the UVM environment on the chosen kernel.
+    // through the UVM environment.
     let (hit, fix_outcome) = {
         let _span = uvllm_obs::Span::enter("simulate");
         (

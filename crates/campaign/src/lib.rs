@@ -81,12 +81,11 @@ pub mod report;
 pub mod sink;
 
 pub use engine::{
-    default_worker_count, evaluate_parallel, evaluate_parallel_with, worker_count_from_env,
-    Campaign, CampaignConfig, CampaignOutcome,
+    default_worker_count, evaluate_parallel, worker_count_from_env, Campaign, CampaignConfig,
+    CampaignOutcome,
 };
 pub use eval::{
-    evaluate_one, evaluate_one_on, evaluate_one_with, job_id, EvalRecord, EvalRow, LlmPolicy,
-    MethodKind, SharedLlm,
+    evaluate_one, evaluate_one_on, job_id, EvalRecord, EvalRow, LlmPolicy, MethodKind, SharedLlm,
 };
 pub use job::{expand_jobs, fnv1a64, Job, ShardSpec};
 pub use merge::{expected_job_ids, merge_rows, read_shard, MergeOutcome};

@@ -57,16 +57,15 @@ pub mod pipeline;
 pub mod stages;
 
 pub use dataset::{
-    build_dataset, build_dataset_with, build_instance, build_instance_with, standard_dataset,
-    BenchInstance, Dataset,
+    build_dataset, build_dataset_with, build_instance, standard_dataset, BenchInstance, Dataset,
 };
 pub use metrics::{
-    fix_confirmed, fix_confirmed_with, fix_verdict_with, hit_confirmed, hit_confirmed_with,
-    mutant_is_detectable, mutant_is_detectable_with, Verdict,
+    fix_confirmed, fix_verdict_with, hit_confirmed, hit_confirmed_with, mutant_is_detectable,
+    Verdict,
 };
 pub use patch::{apply_pairs, PatchReport};
 pub use pipeline::{Stage, StageTimes, Uvllm, VerifyConfig, VerifyOutcome};
 pub use stages::{
-    directed_stage, directed_stage_with, postprocess, preprocess, repair, uvm_stage,
-    uvm_stage_with, PreprocessStats, RepairAttempt, UvmOutcome,
+    directed_stage, postprocess, preprocess, repair, uvm_stage, PreprocessStats, RepairAttempt,
+    UvmOutcome,
 };

@@ -75,18 +75,12 @@ impl Verdict {
 /// Runs a set of sequences against `code` and classifies the outcome.
 ///
 /// Metric runs are pure pass/fail: the environment runs with waveform
-/// capture disabled (nobody reads the frames), and on the compiled
-/// backend the simulation instance comes out of the process-wide
-/// reset-reuse pool ([`uvllm_sim::checkout_sim`]) — the hit + fix runs
-/// of one candidate text share one instance.
-fn run_verdict(
-    code: &str,
-    design: &Design,
-    seqs: Vec<Box<dyn Sequence>>,
-    backend: SimBackend,
-) -> Verdict {
+/// capture disabled (nobody reads the frames), and the elaboration is
+/// shared through the process-wide cache — the hit + fix runs of one
+/// candidate text elaborate it once.
+fn run_verdict(code: &str, design: &Design, seqs: Vec<Box<dyn Sequence>>) -> Verdict {
     let iface = (design.iface)();
-    match Environment::from_source_with(code, design.name, iface, (design.model)(), seqs, backend) {
+    match Environment::from_source(code, design.name, iface, (design.model)(), seqs) {
         Ok(env) => {
             let summary = env.without_waveform().run();
             if summary.all_passed() {
@@ -126,46 +120,37 @@ fn fr_seqs(design: &Design) -> Vec<Box<dyn Sequence>> {
 
 /// Hit-Rate check: does `code` pass the public directed vectors?
 pub fn hit_confirmed(design: &Design, code: &str) -> bool {
-    hit_confirmed_with(design, code, SimBackend::from_env())
+    run_verdict(code, design, hit_seqs(design)).passed()
 }
 
-/// [`hit_confirmed`] on an explicit simulation backend.
-pub fn hit_confirmed_with(design: &Design, code: &str, backend: SimBackend) -> bool {
-    run_verdict(code, design, hit_seqs(design), backend).passed()
+/// [`hit_confirmed`] with the simulation backend named; the event
+/// kernel is the only one.
+pub fn hit_confirmed_with(design: &Design, code: &str, _backend: SimBackend) -> bool {
+    hit_confirmed(design, code)
 }
 
 /// Fix-Rate check: extended differential validation against the golden
 /// model (the mechanized "expert review").
 pub fn fix_confirmed(design: &Design, code: &str) -> bool {
-    fix_confirmed_with(design, code, SimBackend::from_env())
-}
-
-/// [`fix_confirmed`] on an explicit simulation backend.
-pub fn fix_confirmed_with(design: &Design, code: &str, backend: SimBackend) -> bool {
-    fix_verdict_with(design, code, backend).passed()
+    fix_verdict_with(design, code, SimBackend::EventDriven).passed()
 }
 
 /// The full classified Fix-Rate outcome: lets campaign rows distinguish
 /// "fails the differential campaign" from "oscillates" from "does not
-/// build".
-pub fn fix_verdict_with(design: &Design, code: &str, backend: SimBackend) -> Verdict {
-    run_verdict(code, design, fr_seqs(design), backend)
+/// build". The event kernel is the only backend.
+pub fn fix_verdict_with(design: &Design, code: &str, _backend: SimBackend) -> Verdict {
+    run_verdict(code, design, fr_seqs(design))
 }
 
 /// The quick validation run used by the dataset builder: a strict prefix
 /// of the FR campaign, so "fails validation" implies "fails FR".
 pub fn mutant_is_detectable(design: &Design, code: &str) -> bool {
-    mutant_is_detectable_with(design, code, SimBackend::from_env())
-}
-
-/// [`mutant_is_detectable`] on an explicit simulation backend.
-pub fn mutant_is_detectable_with(design: &Design, code: &str, backend: SimBackend) -> bool {
     let iface = (design.iface)();
     let seqs: Vec<Box<dyn Sequence>> = vec![
         Box::new(RandomSequence::new(&iface.inputs, VALIDATION_CYCLES, FR_PRIMARY_SEED)),
         Box::new(CornerSequence::new(&iface.inputs)),
     ];
-    !run_verdict(code, design, seqs, backend).passed()
+    !run_verdict(code, design, seqs).passed()
 }
 
 #[cfg(test)]
@@ -203,25 +188,6 @@ mod tests {
         let broken = d.source.replace(';', "");
         assert!(!hit_confirmed(d, &broken));
         assert!(!fix_confirmed(d, &broken));
-    }
-
-    #[test]
-    fn compiled_metric_runs_reuse_pooled_instances() {
-        // The six metric runs of a campaign job hit the same candidate
-        // text repeatedly: after the first, the compiled backend must
-        // serve checkouts by rewinding a parked instance, not by
-        // rebuilding one.
-        let d = by_name("gray_counter_4").unwrap();
-        // A comment makes the text (and so the pool key) unique to this
-        // test; the counters are process-global.
-        let code = format!("{}// pool-reuse probe\n", d.source);
-        let before = uvllm_sim::sim_pool_stats();
-        assert!(hit_confirmed_with(d, &code, uvllm_sim::SimBackend::Compiled));
-        assert!(fix_confirmed_with(d, &code, uvllm_sim::SimBackend::Compiled));
-        assert!(hit_confirmed_with(d, &code, uvllm_sim::SimBackend::Compiled));
-        let after = uvllm_sim::sim_pool_stats();
-        assert!(after.checkouts - before.checkouts >= 3);
-        assert!(after.reuses - before.reuses >= 2, "later runs rewind the parked instance");
     }
 
     #[test]

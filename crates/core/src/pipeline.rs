@@ -1,7 +1,7 @@
 //! The UVLLM orchestrator: the iterative loop of Fig. 2 with the
 //! score-register rollback mechanism.
 
-use crate::stages::{postprocess, preprocess, repair, uvm_stage_with, UvmOutcome};
+use crate::stages::{postprocess, preprocess, repair, uvm_stage, UvmOutcome};
 use std::time::{Duration, Instant};
 use uvllm_designs::Design;
 use uvllm_llm::{
@@ -70,8 +70,8 @@ pub struct VerifyConfig {
     pub rollback_enabled: bool,
     /// Disable to ablate SL-mode escalation (stay in MS mode forever).
     pub sl_enabled: bool,
-    /// Simulation kernel for the UVM processing stage (defaults to the
-    /// process-wide [`SimBackend::from_env`] selection).
+    /// Simulation kernel for the UVM processing stage. The event kernel
+    /// is the only one, so the stage never reads this.
     pub backend: SimBackend,
 }
 
@@ -86,7 +86,7 @@ impl Default for VerifyConfig {
             output_mode: OutputMode::Pairs,
             rollback_enabled: true,
             sl_enabled: true,
-            backend: SimBackend::from_env(),
+            backend: SimBackend::EventDriven,
         }
     }
 }
@@ -214,7 +214,7 @@ impl<S: LlmService> Uvllm<S> {
 
             // -------- Step 2: UVM processing ---------------------------
             let wall = Instant::now();
-            let outcome = uvm_stage_with(&code, design, cfg.uvm_cycles, cfg.uvm_seed, cfg.backend);
+            let outcome = uvm_stage(&code, design, cfg.uvm_cycles, cfg.uvm_seed);
             times.uvm += wall.elapsed();
             let score = outcome.score();
             final_score = score;

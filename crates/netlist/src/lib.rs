@@ -1,7 +1,7 @@
 //! Post-elaboration netlist passes and Yosys-JSON interchange.
 //!
 //! This crate sits between elaboration ([`uvllm_sim::elab`]) and the
-//! two simulation kernels. It rewrites an elaborated [`Design`] in
+//! simulator. It rewrites an elaborated [`Design`] in
 //! place through a small pipeline of semantics-preserving passes, and
 //! imports/exports designs in Yosys' JSON netlist format so
 //! third-party RTL can join a campaign and elaborated designs can
@@ -17,12 +17,12 @@
 //! a double run.
 //!
 //! Every pass preserves *observable* four-state semantics: port and
-//! surviving-signal waveforms are bit-identical on both kernels, for
+//! surviving-signal waveforms are bit-identical before and after, for
 //! any stimulus, X-propagation included. Passes may orphan internal
 //! signals (leaving them undriven/unread) but never renumber them.
 //!
 //! The soundness argument leans on one invariant shared with the
-//! kernels: every expression position has a *static* evaluation
+//! simulator: every expression position has a *static* evaluation
 //! context width (the `ctx` of [`uvllm_sim::eval::eval`]), fully
 //! determined by the enclosing statement and operator — so a pass can
 //! replay the exact runtime widths at rewrite time. The walker in
@@ -40,8 +40,8 @@
 //! [`opt_profile`] packages a level as a [`uvllm_sim::OptProfile`] so
 //! the elaboration cache keys variants separately;
 //! [`install_default_opt`] makes it the process default consumed by
-//! `elaborate_source_cached` / `compile_source_cached` (this is what
-//! the campaign CLI's `--opt-level` does).
+//! `elaborate_source_cached` (this is what the campaign CLI's
+//! `--opt-level` does).
 
 pub mod passes;
 pub mod yosys;
@@ -50,8 +50,7 @@ mod metrics;
 
 use std::sync::Arc;
 
-use uvllm_sim::compile::CompiledDesign;
-use uvllm_sim::elab::Design;
+use uvllm_sim::elab::{stmt_written_signals, Design, SignalId, Trigger};
 use uvllm_sim::OptProfile;
 
 pub use passes::{BufferRemoval, Canonicalize, ConstFold, Rebalance};
@@ -211,13 +210,63 @@ impl PassManager {
 }
 
 /// Levelized combinational depth of a design: the length of the
-/// longest writer→reader chain of combinational processes, as seen by
-/// the compiled kernel's topological scheduler (1 = all comb processes
-/// are sources, 0 = no comb processes). Cyclic comb designs report the
-/// depth of the acyclic prefix.
+/// longest writer→reader chain of combinational processes (1 = all comb
+/// processes are sources, 0 = no comb processes).
+///
+/// Edges follow the *declared* sensitivity lists, not the read sets,
+/// and a process writing one of its own triggers adds no edge (it
+/// misses its own events, IEEE 1364). Members of a combinational cycle
+/// are parked one level past the acyclic frontier, so a cyclic design
+/// reports its acyclic depth plus one.
 pub fn levelized_depth(design: &Design) -> u32 {
-    let cd = CompiledDesign::from_arc(Arc::new(design.clone()));
-    cd.comb_order().iter().map(|&pid| cd.level(pid) + 1).max().unwrap_or(0)
+    let procs = design.processes();
+    let comb: Vec<(usize, &[SignalId])> = procs
+        .iter()
+        .enumerate()
+        .filter_map(|(pid, p)| match &p.trigger {
+            Trigger::Comb(deps) => Some((pid, deps.as_slice())),
+            _ => None,
+        })
+        .collect();
+    let mut writers: Vec<Vec<usize>> = vec![Vec::new(); design.signals().len()];
+    for &(pid, _) in &comb {
+        for s in stmt_written_signals(&procs[pid].body) {
+            writers[s.0 as usize].push(pid);
+        }
+    }
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); procs.len()];
+    let mut indegree = vec![0u32; procs.len()];
+    for &(pid, deps) in &comb {
+        for d in deps {
+            for &writer in writers[d.0 as usize].iter().filter(|&&w| w != pid) {
+                succs[writer].push(pid);
+                indegree[pid] += 1;
+            }
+        }
+    }
+
+    // Kahn's algorithm over the comb subgraph; whatever it never
+    // reaches sits on a cycle.
+    let mut levels = vec![0u32; procs.len()];
+    let mut ready: Vec<usize> =
+        comb.iter().map(|&(pid, _)| pid).filter(|&pid| indegree[pid] == 0).collect();
+    let (mut reached, mut max_level) = (0, 0);
+    while let Some(pid) = ready.pop() {
+        reached += 1;
+        max_level = max_level.max(levels[pid]);
+        for &next in &succs[pid] {
+            levels[next] = levels[next].max(levels[pid] + 1);
+            indegree[next] -= 1;
+            if indegree[next] == 0 {
+                ready.push(next);
+            }
+        }
+    }
+    match comb.len() {
+        0 => 0,
+        n if reached < n => max_level + 2,
+        _ => max_level + 1,
+    }
 }
 
 /// Packages `level` as a cache [`OptProfile`]: `None` for [`OptLevel::O0`]
@@ -235,9 +284,47 @@ pub fn opt_profile(level: OptLevel) -> Option<OptProfile> {
 }
 
 /// Installs `level` as the process-default optimization profile picked
-/// up by `elaborate_source_cached` / `compile_source_cached` /
-/// `checkout_sim` (campaign `--opt-level` plumbing). `O0` resets to
+/// up by `elaborate_source_cached` (campaign `--opt-level` plumbing). `O0` resets to
 /// the identity profile.
 pub fn install_default_opt(level: OptLevel) {
     uvllm_sim::set_default_opt_profile(opt_profile(level).unwrap_or_else(OptProfile::none));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn depth(src: &str) -> u32 {
+        let file = uvllm_verilog::parse(src).unwrap();
+        let top = &file.top().unwrap().name;
+        levelized_depth(&uvllm_sim::elaborate(&file, top).unwrap())
+    }
+
+    #[test]
+    fn chain_is_levelized() {
+        let chain = "module m(input a, output w1, output w2, output w3);\n\
+                     assign w1 = ~a;\nassign w2 = ~w1;\nassign w3 = ~w2;\nendmodule\n";
+        assert_eq!(depth(chain), 3);
+        let seq_only = "module m(input clk, output reg q);\nalways @(posedge clk) q <= ~q;\n\
+                        endmodule\n";
+        assert_eq!(depth(seq_only), 0);
+    }
+
+    #[test]
+    fn diamond_join_runs_after_both_arms() {
+        let diamond = "module m(input a, output y);\nwire l, r;\n\
+                       assign l = ~a;\nassign r = a;\nassign y = l & r;\nendmodule\n";
+        assert_eq!(depth(diamond), 2);
+    }
+
+    #[test]
+    fn cycles_are_flagged_not_fatal() {
+        // Cycle members sit one level past the acyclic frontier, and a
+        // process writing its own trigger is not a cycle.
+        let ring = "module m(output a, output b);\nassign a = ~b;\nassign b = ~a;\nendmodule\n";
+        assert_eq!(depth(ring), 2);
+        let self_loop = "module m(input x, output reg y);\n\
+                         always @(*) begin y = x; y = ~y; end\nendmodule\n";
+        assert_eq!(depth(self_loop), 1);
+    }
 }

@@ -2,7 +2,7 @@
 //!
 //! # The context walker
 //!
-//! Both kernels evaluate every expression position at a *statically
+//! The simulator evaluates every expression position at a *statically
 //! determined* context width (`ctx` of [`uvllm_sim::eval::eval`]):
 //! assignment right-hand sides at the target width, comparison
 //! operands at `max(a.width, b.width)`, shift amounts and logical /
@@ -91,7 +91,7 @@ fn rewrite_expr(e: &mut LExpr, ctx: u32, f: &mut impl FnMut(&mut LExpr, u32)) {
 
 /// Walks every expression of `s` with its static context width (see
 /// module docs) and lets `f` rewrite nodes in place. Target index
-/// expressions are included (self-determined, like the kernels).
+/// expressions are included (self-determined, like the simulator).
 pub(crate) fn rewrite_exprs(design: &Design, s: &mut LStmt, f: &mut impl FnMut(&mut LExpr, u32)) {
     match s {
         LStmt::Block(stmts) => {
@@ -262,9 +262,9 @@ fn is_known_ones(e: &LExpr, w: u32) -> bool {
 }
 
 /// Replaces `if` statements whose condition folded to a fully-known
-/// constant with the taken branch (both kernels branch identically on
-/// known conditions; unknown conditions are left alone — the kernels
-/// have merge semantics there). Returns the number of prunes.
+/// constant with the taken branch (the simulator branches identically
+/// on known conditions; unknown conditions are left alone — it has
+/// merge semantics there). Returns the number of prunes.
 fn prune_const_branches(s: &mut LStmt) -> u64 {
     match s {
         LStmt::Block(stmts) => stmts.iter_mut().map(prune_const_branches).sum(),
@@ -588,8 +588,8 @@ fn substitute_buffer_read(
 // ---------------------------------------------------------------------------
 
 /// Inlines single-reader combinational assignments into their reader,
-/// collapsing writer→reader chains and shrinking the compiled kernel's
-/// levelized depth (fewer scheduler waves per settle).
+/// collapsing writer→reader chains and shrinking the levelized comb
+/// depth ([`crate::levelized_depth`]).
 ///
 /// A producer `assign y = rhs;` is inlined into its unique reader `Q`
 /// when the substitution provably replays the producer's staging:

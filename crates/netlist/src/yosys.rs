@@ -4,7 +4,7 @@
 //! netlist format produced by `yosys -o design.json` (one module,
 //! `ports` / `cells` / `netnames` / `memories` sections, global bit
 //! ids); [`import`] reads such a file back into a [`Design`] that
-//! simulates on both kernels — whether it came from this exporter or
+//! simulates like the original — whether it came from this exporter or
 //! from a real Yosys run on third-party RTL.
 //!
 //! # Mapping

@@ -16,23 +16,14 @@ fn run(design: &mut Design, level: OptLevel) -> uvllm_netlist::PipelineStats {
     PassManager::standard(level).run(design)
 }
 
-/// Settles a design on both kernels and returns the named signal as a
-/// `(val, xz)` pair (asserting kernel agreement on the way).
+/// Settles a design and returns the named signal as a `(val, xz)` pair.
 fn settled_value(design: &Design, name: &str) -> (u128, u128) {
     let design = Arc::new(design.clone());
     let id = design.signal_id(name).unwrap();
-    let mut out = None;
-    for backend in [SimBackend::EventDriven, SimBackend::Compiled] {
-        let mut sim = AnySim::new(&design, backend).unwrap();
-        sim.settle().unwrap();
-        let v = sim.peek_word(id, 0);
-        let pair = (v.val(), v.xz());
-        if let Some(prev) = out {
-            assert_eq!(prev, pair, "kernels disagree on '{name}'");
-        }
-        out = Some(pair);
-    }
-    out.unwrap()
+    let mut sim = AnySim::new(&design, SimBackend::EventDriven).unwrap();
+    sim.settle().unwrap();
+    let v = sim.peek_word(id, 0);
+    (v.val(), v.xz())
 }
 
 // ---------------------------------------------------------------------------

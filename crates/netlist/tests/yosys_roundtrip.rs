@@ -5,7 +5,9 @@
 //! byte-for-byte. Signal ids may renumber on import (scalars before
 //! memories), so design-level equality is NOT required — but the
 //! imported design must still be port-waveform-identical to the
-//! original on both kernels, which the behavioural half checks.
+//! original, which the behavioural half checks. The behavioural half
+//! also round-trips the `stress` fixture, the X-regime corner design
+//! shared with `opt_equivalence.rs`.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -62,14 +64,14 @@ fn wide(rng: &mut StdRng) -> u128 {
     ((rng.random::<u64>() as u128) << 64) | rng.random::<u64>() as u128
 }
 
-fn poke_all(sims: &mut [AnySim; 4], name: &str, v: Logic, ctx: &str) {
+fn poke_all(sims: &mut [AnySim; 2], name: &str, v: Logic, ctx: &str) {
     for sim in sims.iter_mut() {
         sim.poke_by_name(name, v).unwrap_or_else(|e| panic!("{ctx}: poke {name}: {e}"));
     }
 }
 
 /// Compares ports by NAME (ids may renumber across the round-trip).
-fn assert_ports_identical(sims: &[AnySim; 4], base: &Design, ctx: &str) {
+fn assert_ports_identical(sims: &[AnySim; 2], base: &Design, ctx: &str) {
     for &port in base.inputs().iter().chain(base.outputs()) {
         let name = &base.signal(port).name;
         let reference = sims[0].peek_by_name(name).unwrap();
@@ -83,8 +85,8 @@ fn assert_ports_identical(sims: &[AnySim; 4], base: &Design, ctx: &str) {
     }
 }
 
-/// Drives the original and the round-tripped design on both kernels in
-/// lockstep under seeded random stimulus, comparing ports by name.
+/// Drives the original and the round-tripped design in lockstep under
+/// seeded random stimulus, comparing ports by name.
 #[test]
 fn imported_designs_are_port_identical_on_all_designs() {
     for d in all() {
@@ -94,9 +96,7 @@ fn imported_designs_are_port_identical_on_all_designs() {
         let ctx = format!("{}:roundtrip", d.name);
         let mut sims = [
             AnySim::new(&base, SimBackend::EventDriven).unwrap(),
-            AnySim::new(&base, SimBackend::Compiled).unwrap(),
             AnySim::new(&round, SimBackend::EventDriven).unwrap(),
-            AnySim::new(&round, SimBackend::Compiled).unwrap(),
         ];
         let mut rng = StdRng::seed_from_u64(0x9059 ^ fnv(d.name));
 
@@ -132,6 +132,39 @@ fn imported_designs_are_port_identical_on_all_designs() {
             if let Some(clk) = &iface.clock {
                 poke_all(&mut sims, clk, Logic::bit(false), &ctx);
             }
+        }
+    }
+}
+
+/// The `stress` fixture through export → import: 200 random cycles
+/// before reset ever asserts (case dispatch over an X selector, NBA
+/// writes of X, dropped unknown-index writes), then a reset pulse and
+/// 200 more, comparing ports by name after every poke.
+#[test]
+fn stress_design_round_trips_port_identical() {
+    let base = Arc::new(elaborated(include_str!("stress.v"), "stress"));
+    let round = Arc::new(yosys::import_str(&yosys::export_string(&base)).unwrap());
+    let mut sims = [
+        AnySim::new(&base, SimBackend::EventDriven).unwrap(),
+        AnySim::new(&round, SimBackend::EventDriven).unwrap(),
+    ];
+    assert_ports_identical(&sims, &base, "stress");
+    let mut rng = StdRng::seed_from_u64(0x57E55);
+    let step = |sims: &mut [AnySim; 2], name: &str, v: Logic| {
+        poke_all(sims, name, v, "stress");
+        assert_ports_identical(sims, &base, &format!("stress after {name}={v}"));
+    };
+    step(&mut sims, "clk", Logic::bit(false));
+    for phase in 0..2 {
+        if phase == 1 {
+            step(&mut sims, "rst_n", Logic::bit(false));
+            step(&mut sims, "rst_n", Logic::bit(true));
+        }
+        for _ in 0..200 {
+            step(&mut sims, "idx", Logic::from_u128(4, wide(&mut rng)));
+            step(&mut sims, "d", Logic::from_u128(8, wide(&mut rng)));
+            step(&mut sims, "clk", Logic::bit(true));
+            step(&mut sims, "clk", Logic::bit(false));
         }
     }
 }
@@ -256,18 +289,16 @@ fn import_accepts_third_party_netlists() {
     assert_eq!(design.top, "third");
     // `mirror` aliases `q`'s bits and gets a synthesized buffer driver.
     let design = Arc::new(design);
-    for backend in [SimBackend::EventDriven, SimBackend::Compiled] {
-        let mut sim = AnySim::new(&design, backend).unwrap();
-        sim.poke_by_name("clk", Logic::bit(false)).unwrap();
-        sim.poke_by_name("a", Logic::from_u128(4, 5)).unwrap();
-        sim.poke_by_name("b", Logic::from_u128(4, 6)).unwrap();
-        sim.poke_by_name("clk", Logic::bit(true)).unwrap();
-        sim.settle().unwrap();
-        let q = sim.peek_by_name("q").unwrap();
-        assert_eq!(q.to_u128(), Some(11), "{backend:?}: q = a + b after the edge");
-        let mirror = sim.peek_by_name("mirror").unwrap();
-        assert_eq!(mirror.to_u128(), Some(11), "{backend:?}: mirror aliases q");
-    }
+    let mut sim = AnySim::new(&design, SimBackend::EventDriven).unwrap();
+    sim.poke_by_name("clk", Logic::bit(false)).unwrap();
+    sim.poke_by_name("a", Logic::from_u128(4, 5)).unwrap();
+    sim.poke_by_name("b", Logic::from_u128(4, 6)).unwrap();
+    sim.poke_by_name("clk", Logic::bit(true)).unwrap();
+    sim.settle().unwrap();
+    let q = sim.peek_by_name("q").unwrap();
+    assert_eq!(q.to_u128(), Some(11), "q = a + b after the edge");
+    let mirror = sim.peek_by_name("mirror").unwrap();
+    assert_eq!(mirror.to_u128(), Some(11), "mirror aliases q");
 }
 
 #[test]
@@ -291,14 +322,12 @@ fn import_handles_constant_bits_in_connections() {
   }
 }"#;
     let design = Arc::new(yosys::import_str(text).unwrap());
-    for backend in [SimBackend::EventDriven, SimBackend::Compiled] {
-        let mut sim = AnySim::new(&design, backend).unwrap();
-        sim.poke_by_name("a", Logic::from_u128(2, 0b10)).unwrap();
-        sim.settle().unwrap();
-        // y = {1'b0, 1'b1, a[1], a[0]} = 4'b0110.
-        let y = sim.peek_by_name("y").unwrap();
-        assert_eq!(y.to_u128(), Some(0b0110), "{backend:?}");
-    }
+    let mut sim = AnySim::new(&design, SimBackend::EventDriven).unwrap();
+    sim.poke_by_name("a", Logic::from_u128(2, 0b10)).unwrap();
+    sim.settle().unwrap();
+    // y = {1'b0, 1'b1, a[1], a[0]} = 4'b0110.
+    let y = sim.peek_by_name("y").unwrap();
+    assert_eq!(y.to_u128(), Some(0b0110));
 }
 
 #[test]
@@ -324,24 +353,22 @@ fn import_builds_async_reset_flops() {
   }
 }"#;
     let design = Arc::new(yosys::import_str(text).unwrap());
-    for backend in [SimBackend::EventDriven, SimBackend::Compiled] {
-        let mut sim = AnySim::new(&design, backend).unwrap();
-        sim.poke_by_name("clk", Logic::bit(false)).unwrap();
-        sim.poke_by_name("d", Logic::from_u128(2, 0b01)).unwrap();
-        // Async reset forces the ARST_VALUE without a clock edge.
-        sim.poke_by_name("rst", Logic::bit(true)).unwrap();
-        sim.settle().unwrap();
-        assert_eq!(sim.peek_by_name("q").unwrap().to_u128(), Some(0b11), "{backend:?} reset");
-        // Release reset, clock the data through.
-        sim.poke_by_name("rst", Logic::bit(false)).unwrap();
-        sim.poke_by_name("clk", Logic::bit(true)).unwrap();
-        sim.settle().unwrap();
-        assert_eq!(sim.peek_by_name("q").unwrap().to_u128(), Some(0b01), "{backend:?} clock");
-    }
+    let mut sim = AnySim::new(&design, SimBackend::EventDriven).unwrap();
+    sim.poke_by_name("clk", Logic::bit(false)).unwrap();
+    sim.poke_by_name("d", Logic::from_u128(2, 0b01)).unwrap();
+    // Async reset forces the ARST_VALUE without a clock edge.
+    sim.poke_by_name("rst", Logic::bit(true)).unwrap();
+    sim.settle().unwrap();
+    assert_eq!(sim.peek_by_name("q").unwrap().to_u128(), Some(0b11), "reset");
+    // Release reset, clock the data through.
+    sim.poke_by_name("rst", Logic::bit(false)).unwrap();
+    sim.poke_by_name("clk", Logic::bit(true)).unwrap();
+    sim.settle().unwrap();
+    assert_eq!(sim.peek_by_name("q").unwrap().to_u128(), Some(0b01), "clock");
 }
 
-/// The committed third-party fixture must import, simulate correctly
-/// on both kernels, survive the pass pipeline, and reach the export
+/// The committed third-party fixture must import, simulate correctly,
+/// survive the pass pipeline, and reach the export
 /// fixpoint — the same gates CI drives through the campaign CLI.
 #[test]
 fn committed_third_party_fixture_imports_and_simulates() {
@@ -354,33 +381,23 @@ fn committed_third_party_fixture_imports_and_simulates() {
     let base = Arc::new(base);
     let opt = Arc::new(opt);
     for design in [&base, &opt] {
-        for backend in [SimBackend::EventDriven, SimBackend::Compiled] {
-            let mut sim = AnySim::new(design, backend).unwrap();
-            sim.poke_by_name("clk", Logic::bit(false)).unwrap();
-            sim.poke_by_name("a", Logic::from_u128(4, 9)).unwrap();
-            sim.poke_by_name("b", Logic::from_u128(4, 3)).unwrap();
-            sim.poke_by_name("op", Logic::bit(false)).unwrap();
-            sim.settle().unwrap();
-            // op=0 selects the adder leg of the mux.
-            assert_eq!(sim.peek_by_name("y").unwrap().to_u128(), Some(12), "{backend:?} add");
-            assert_eq!(
-                sim.peek_by_name("y_mirror").unwrap().to_u128(),
-                Some(12),
-                "{backend:?} alias"
-            );
-            sim.poke_by_name("op", Logic::bit(true)).unwrap();
-            sim.settle().unwrap();
-            assert_eq!(sim.peek_by_name("y").unwrap().to_u128(), Some(6), "{backend:?} sub");
-            // The clock edge latches y into q; q != 0 raises q_nonzero.
-            sim.poke_by_name("clk", Logic::bit(true)).unwrap();
-            sim.settle().unwrap();
-            assert_eq!(sim.peek_by_name("q").unwrap().to_u128(), Some(6), "{backend:?} dff");
-            assert_eq!(
-                sim.peek_by_name("q_nonzero").unwrap().to_u128(),
-                Some(1),
-                "{backend:?} reduce_or"
-            );
-        }
+        let mut sim = AnySim::new(design, SimBackend::EventDriven).unwrap();
+        sim.poke_by_name("clk", Logic::bit(false)).unwrap();
+        sim.poke_by_name("a", Logic::from_u128(4, 9)).unwrap();
+        sim.poke_by_name("b", Logic::from_u128(4, 3)).unwrap();
+        sim.poke_by_name("op", Logic::bit(false)).unwrap();
+        sim.settle().unwrap();
+        // op=0 selects the adder leg of the mux.
+        assert_eq!(sim.peek_by_name("y").unwrap().to_u128(), Some(12), "add");
+        assert_eq!(sim.peek_by_name("y_mirror").unwrap().to_u128(), Some(12), "alias");
+        sim.poke_by_name("op", Logic::bit(true)).unwrap();
+        sim.settle().unwrap();
+        assert_eq!(sim.peek_by_name("y").unwrap().to_u128(), Some(6), "sub");
+        // The clock edge latches y into q; q != 0 raises q_nonzero.
+        sim.poke_by_name("clk", Logic::bit(true)).unwrap();
+        sim.settle().unwrap();
+        assert_eq!(sim.peek_by_name("q").unwrap().to_u128(), Some(6), "dff");
+        assert_eq!(sim.peek_by_name("q_nonzero").unwrap().to_u128(), Some(1), "reduce_or");
     }
 
     // Our export of the import must be a fixpoint.

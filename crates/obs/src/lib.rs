@@ -14,7 +14,7 @@
 //!   [`Gauge::set`] and [`Histogram::record`] are each a single relaxed
 //!   atomic read-modify-write on a preallocated cell. No locks, no
 //!   branches on shared state, no heap. This is what lets the
-//!   simulation kernels stay inside the strict zero-allocations-per-
+//!   simulation kernel stay inside the strict zero-allocations-per-
 //!   cycle bound (`tests/alloc_steady_state.rs`) with metrics enabled.
 //!
 //! Histograms are fixed-shape: [`HISTOGRAM_BUCKETS`] log2 buckets
@@ -71,7 +71,7 @@ impl Counter {
     }
 
     /// Adds `n` (a batch of locally accumulated events — the idiom the
-    /// kernels use to flush per-settle tallies in O(1) atomics).
+    /// kernel uses to flush per-settle tallies in O(1) atomics).
     #[inline]
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
@@ -212,7 +212,7 @@ impl Metric {
 }
 
 /// The process-wide metric namespace. Names are flat dotted strings
-/// (`sim.compiled.activations`); the map is only touched at
+/// (`sim.event.activations`); the map is only touched at
 /// registration and snapshot time, never on the recording path.
 #[derive(Debug, Default)]
 pub struct Registry {

@@ -1,7 +1,7 @@
 //! The registry's recording-path allocation contract, enforced: after
 //! registration, `Counter::inc`/`add`, `Gauge::set` and
 //! `Histogram::record` perform **zero** heap allocations — the property
-//! that lets the simulation kernels carry metrics inside the strict
+//! that lets the simulation kernel carry metrics inside the strict
 //! zero-allocations-per-cycle bound of `tests/alloc_steady_state.rs`.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -29,8 +29,6 @@ struct RunAgg {
     diags: Vec<String>,
     /// The run's full job-id space (what "complete" means).
     expected: HashSet<String>,
-    /// `serve.run.<id>.rows` — live per-run row count.
-    run_rows: &'static uvllm_obs::Counter,
 }
 
 /// A point-in-time copy of one run's aggregation, for status rendering
@@ -85,14 +83,12 @@ impl Aggregator {
     pub fn register(&self, run: &str, spec: &RunSpec, sinks: Vec<PathBuf>) {
         let expected: HashSet<String> =
             expected_job_ids(spec.size, spec.seed, &spec.methods).into_iter().collect();
-        let run_rows = uvllm_obs::registry().counter(&format!("serve.run.{run}.rows"));
         self.lock().push(RunAgg {
             run: run.to_string(),
             tailers: sinks.into_iter().map(SinkTailer::new).collect(),
             rows: BTreeMap::new(),
             diags: Vec::new(),
             expected,
-            run_rows,
         });
     }
 
@@ -122,7 +118,6 @@ impl Aggregator {
                     match agg.rows.get(&row.id) {
                         None => {
                             agg.rows.insert(row.id.clone(), row);
-                            agg.run_rows.inc();
                             self.rows_aggregated.inc();
                         }
                         // A byte-identical duplicate is a stolen
@@ -263,5 +258,26 @@ mod tests {
         assert!(view.diags[1].contains("determinism contract violation"), "{}", view.diags[1]);
         assert!(agg.view("run-nope").is_none());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Metric names must not grow with the number of runs a resident
+    /// server has seen: per-run counts live in the run status only.
+    #[test]
+    fn registering_runs_adds_no_per_run_metric_names() {
+        let agg = Aggregator::new();
+        for i in 0..50 {
+            agg.register(&format!("run-card-{i}"), &spec(), vec![temp_path("card-none.jsonl")]);
+        }
+        agg.poll();
+        let snapshot = uvllm_obs::registry().snapshot();
+        let names = snapshot
+            .counters
+            .iter()
+            .map(|(name, _)| name)
+            .chain(snapshot.gauges.iter().map(|(name, _)| name))
+            .chain(snapshot.histograms.iter().map(|(name, _)| name));
+        for name in names {
+            assert!(!name.starts_with("serve.run."), "per-run metric name '{name}'");
+        }
     }
 }

@@ -503,7 +503,7 @@ mod tests {
             size: 3,
             seed: 0xDEAD_BEEF_CAFE_F00D,
             methods: vec![MethodKind::Strider, MethodKind::Uvllm],
-            backend: SimBackend::Compiled,
+            backend: SimBackend::EventDriven,
             opt_level: 2,
             shards: 2,
             lease: Duration::from_millis(750),

@@ -196,16 +196,18 @@ impl Server {
     }
 }
 
-/// The drain → wait → flush sequence, spawned detached so the
-/// requesting HTTP handler can answer before the wait. First caller
-/// wins; later calls are no-ops (the sequence is already running).
+/// The drain → wait → flush sequence. The drain starts before this
+/// returns, so a `POST /lease` sent after the shutdown reply always
+/// gets `410`; the wait and flush run detached so the requesting HTTP
+/// handler can answer first. First caller wins; later calls are no-ops
+/// (the sequence is already running).
 fn begin_shutdown(state: &Arc<ServeState>) {
     if state.shutting_down.swap(true, Ordering::SeqCst) {
         return;
     }
+    state.store.drain();
     let state = Arc::clone(state);
     std::thread::spawn(move || {
-        state.store.drain();
         while !state.store.drained() {
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -247,8 +249,8 @@ fn route(state: &Arc<ServeState>, request: &Request) -> (u16, &'static str, Stri
         }
         ("GET", "/healthz") => (200, "text/plain", "ok\n".to_string()),
         ("GET", "/metrics") => {
-            // Metrics include per-run row counters; poll first so they
-            // reflect every row currently on disk.
+            // Poll first so `serve.rows_aggregated` reflects every row
+            // currently on disk.
             state.agg.poll();
             (200, "application/json", uvllm_obs::registry().snapshot().render())
         }

@@ -742,7 +742,7 @@ mod tests {
             // Above 2^53: the f64 number path would corrupt this.
             seed: 0xDEAD_BEEF_CAFE_F00D,
             methods: vec![MethodKind::Uvllm, MethodKind::Meic],
-            backend: SimBackend::Compiled,
+            backend: SimBackend::EventDriven,
             opt_level: 2,
             shards: 4,
             lease: Duration::from_secs(30),
@@ -762,6 +762,10 @@ mod tests {
         assert_eq!(spec.methods, MethodKind::ALL.to_vec());
         assert_eq!(spec.shards, 1);
         assert_eq!(spec.lease, Duration::from_secs(7));
+        // Submissions naming the retired compiled kernel still replay.
+        let legacy = Json::parse("{\"size\": 4, \"backend\": \"compiled\"}").unwrap();
+        let spec = RunSpec::from_json(&legacy, Duration::from_secs(7)).unwrap();
+        assert_eq!(spec.backend, SimBackend::EventDriven);
 
         let err = |text: &str| {
             RunSpec::from_json(&Json::parse(text).unwrap(), Duration::from_secs(1)).unwrap_err()

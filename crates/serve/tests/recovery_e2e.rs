@@ -4,7 +4,7 @@
 //! directory. The restarted server must replay its journal, fence the
 //! pre-crash leases (stale workers observe `409 LeaseLost`), resume
 //! granting, and finish with rows byte-identical to a direct engine
-//! run. On both simulation kernels.
+//! run.
 //!
 //! The server runs as a *separate OS process* (the `uvllm-serve`
 //! binary) so the kill is a real process death, not a cooperative
@@ -17,7 +17,6 @@ use std::time::{Duration, Instant};
 use uvllm_campaign::{Campaign, CampaignConfig, MemorySink, MethodKind};
 use uvllm_json::{s, Json};
 use uvllm_serve::{http, post_json, run_worker, WorkerOptions, WorkerSummary};
-use uvllm_sim::SimBackend;
 
 const SIZE: usize = 4;
 const SEED: u64 = 0x42;
@@ -29,13 +28,12 @@ fn methods() -> Vec<MethodKind> {
 
 /// Ground truth: the same configuration run directly through the
 /// engine, no server and no crash involved.
-fn baseline_rows(backend: SimBackend) -> Vec<String> {
+fn baseline_rows() -> Vec<String> {
     let config = CampaignConfig {
         dataset_size: SIZE,
         dataset_seed: SEED,
         methods: methods(),
         workers: 2,
-        backend,
         ..CampaignConfig::default()
     };
     let mut sink = MemorySink::new();
@@ -97,12 +95,11 @@ fn wait_exit(child: &mut Child) {
     }
 }
 
-fn submit(addr: &str, backend: SimBackend) -> String {
+fn submit(addr: &str) -> String {
     let body = Json::Obj(vec![
         ("size".to_string(), Json::Num(SIZE as f64)),
         ("seed".to_string(), s(format!("0x{SEED:X}"))),
         ("methods".to_string(), Json::Arr(methods().iter().map(|m| s(m.label())).collect())),
-        ("backend".to_string(), s(backend.label())),
         ("shards".to_string(), Json::Num(2.0)),
         ("lease_ms".to_string(), Json::Num(600.0)),
     ]);
@@ -162,13 +159,12 @@ fn counter(addr: &str, name: &str) -> u64 {
 /// let the surviving workers reconnect and finish, and hold the
 /// restarted server to the exact rows a crash-free run produces.
 fn restart_and_verify(
-    backend: SimBackend,
     data_dir: &Path,
     addr_file: &Path,
     run: &str,
     workers: Vec<std::thread::JoinHandle<WorkerSummary>>,
 ) -> WorkerSummary {
-    let baseline = baseline_rows(backend);
+    let baseline = baseline_rows();
     let mut heir = spawn_server(data_dir, addr_file, &[]);
     let addr = wait_addr(addr_file);
 
@@ -216,8 +212,9 @@ fn restart_and_verify(
 /// own fsync) inside the first shard completion, after the journal
 /// append but before the reply. The completing worker never gets its
 /// ack; recovery replays the record anyway.
-fn crash_after_complete_round_trip(backend: SimBackend) {
-    let data_dir = fresh_dir(&format!("abort-{}", backend.label()));
+#[test]
+fn crash_after_complete_recovers_byte_identical_event_driven() {
+    let data_dir = fresh_dir("abort-event");
     let addr_file = data_dir.join("addr");
     let mut doomed = spawn_server(
         &data_dir,
@@ -225,26 +222,16 @@ fn crash_after_complete_round_trip(backend: SimBackend) {
         &["--crash-after", "complete:1", "--compact-every", "8"],
     );
     let addr = wait_addr(&addr_file);
-    let run = submit(&addr, backend);
+    let run = submit(&addr);
     let workers = spawn_workers(&addr, &addr_file);
 
     // The abort fires on the first POST /complete; wait for the corpse.
     wait_exit(&mut doomed);
-    let total = restart_and_verify(backend, &data_dir, &addr_file, &run, workers);
+    let total = restart_and_verify(&data_dir, &addr_file, &run, workers);
     // The completing worker was mid-POST when the server died: its
     // retry had to re-read the address file, and the replayed journal
     // already held its Complete record, so the retry got 409.
     assert!(total.reconnects >= 1, "no worker re-read the address file ({total:?})");
-}
-
-#[test]
-fn crash_after_complete_recovers_byte_identical_event_driven() {
-    crash_after_complete_round_trip(SimBackend::EventDriven);
-}
-
-#[test]
-fn crash_after_complete_recovers_byte_identical_compiled() {
-    crash_after_complete_round_trip(SimBackend::Compiled);
 }
 
 /// Literal SIGKILL at a nondeterministic moment: wait until workers
@@ -253,12 +240,11 @@ fn crash_after_complete_recovers_byte_identical_compiled() {
 /// replay must recover a consistent store and the run must converge.
 #[test]
 fn sigkill_mid_run_recovers_byte_identical() {
-    let backend = SimBackend::EventDriven;
     let data_dir = fresh_dir("sigkill");
     let addr_file = data_dir.join("addr");
     let mut doomed = spawn_server(&data_dir, &addr_file, &[]);
     let addr = wait_addr(&addr_file);
-    let run = submit(&addr, backend);
+    let run = submit(&addr);
     let workers = spawn_workers(&addr, &addr_file);
 
     // Kill once at least one lease is live — recovery must fence it,
@@ -284,5 +270,5 @@ fn sigkill_mid_run_recovers_byte_identical() {
     }
     doomed.kill().unwrap(); // SIGKILL on Unix
     wait_exit(&mut doomed);
-    restart_and_verify(backend, &data_dir, &addr_file, &run, workers);
+    restart_and_verify(&data_dir, &addr_file, &run, workers);
 }

@@ -1,11 +1,12 @@
-//! Simulation backend selection: the [`SimBackend`] enum, the
-//! kernel-agnostic [`SimControl`] surface and the [`AnySim`] wrapper
-//! that lets harnesses hold either kernel behind one concrete type.
+//! Simulation backend selection: the [`SimBackend`] label, the
+//! kernel-agnostic [`SimControl`] surface and the [`AnySim`] handle
+//! that harnesses hold.
+//!
+//! There is one kernel, the event-driven [`Simulator`]. `SimBackend`
+//! survives as the value campaign rows, run submissions and journals
+//! carry in their `backend` field (always `"event"`).
 
-use crate::cache::PooledSim;
-use crate::compile::CompiledDesign;
 use crate::elab::{Design, SignalId};
-use crate::kernel::CompiledSim;
 use crate::logic::Logic;
 use crate::sched::{SimError, Simulator};
 use std::collections::HashMap;
@@ -13,47 +14,30 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Which simulation kernel to run a design on.
-///
-/// Both kernels expose the same poke/settle/peek/waveform surface and
-/// are kept waveform-identical by the differential equivalence suite;
-/// the compiled kernel is the fast path for large campaigns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimBackend {
     /// The event-driven delta-cycle interpreter ([`Simulator`]).
     #[default]
     EventDriven,
-    /// The compiled levelized kernel ([`CompiledSim`]).
-    Compiled,
 }
 
 impl SimBackend {
-    /// Both backends, event-driven first.
-    pub const ALL: [SimBackend; 2] = [SimBackend::EventDriven, SimBackend::Compiled];
-
-    /// Stable label used in CLI flags and campaign JSONL rows.
+    /// Stable label used in campaign JSONL rows and run submissions.
     pub fn label(&self) -> &'static str {
         match self {
             SimBackend::EventDriven => "event",
-            SimBackend::Compiled => "compiled",
         }
     }
 
-    /// Parses a [`SimBackend::label`] (CLI / row decoding).
+    /// Parses a [`SimBackend::label`] (row and submission decoding).
+    /// `"compiled"` / `"levelized"` name a retired second kernel; they
+    /// still decode, to the event kernel, so old submissions and
+    /// journals replay.
     pub fn from_label(text: &str) -> Option<SimBackend> {
         match text.trim() {
-            "event" | "event-driven" => Some(SimBackend::EventDriven),
-            "compiled" | "levelized" => Some(SimBackend::Compiled),
+            "event" | "event-driven" | "compiled" | "levelized" => Some(SimBackend::EventDriven),
             _ => None,
         }
-    }
-
-    /// The process-wide default: `UVLLM_SIM_BACKEND` when set to a valid
-    /// label, else the event-driven engine.
-    pub fn from_env() -> SimBackend {
-        std::env::var("UVLLM_SIM_BACKEND")
-            .ok()
-            .and_then(|s| SimBackend::from_label(&s))
-            .unwrap_or_default()
     }
 }
 
@@ -63,9 +47,9 @@ impl fmt::Display for SimBackend {
     }
 }
 
-/// The kernel-agnostic simulation surface shared by [`Simulator`],
-/// [`CompiledSim`] and [`AnySim`]: everything the UVM environment, the
-/// waveform recorder and the campaign harnesses need.
+/// The simulation surface shared by [`Simulator`] and [`AnySim`]:
+/// everything the UVM environment, the waveform recorder and the
+/// campaign harnesses need.
 pub trait SimControl {
     /// The elaborated design being simulated.
     fn design(&self) -> &Design;
@@ -140,89 +124,51 @@ pub trait SimControl {
     }
 }
 
-/// A simulation on either kernel, selected at construction time.
-///
-/// The compiled variant holds a [`PooledSim`]: instances checked out of
-/// the process-wide pool ([`crate::cache::checkout_sim`]) park
-/// themselves back on drop for state-reset reuse; instances built
-/// directly wrap as [`PooledSim::detached`] and drop normally.
+/// A simulation behind one concrete type that harnesses can hold and
+/// pass around: a thin wrapper over the event-driven [`Simulator`].
 #[derive(Debug, Clone)]
-pub enum AnySim {
-    /// Event-driven delta-cycle interpreter.
-    Event(Simulator),
-    /// Compiled levelized kernel (possibly pool-managed).
-    Compiled(PooledSim),
-}
+pub struct AnySim(Simulator);
 
 impl AnySim {
-    /// Builds a simulation over a shared `design` on the chosen
-    /// backend. The `Arc` is threaded straight through to the kernel —
-    /// nothing on this path clones the design, so cached elaborations
+    /// Builds a simulation over a shared `design`. The `Arc` is
+    /// threaded straight through to the kernel — nothing on this path
+    /// clones the design, so cached elaborations
     /// ([`crate::cache::elaborate_source_cached`]) are shared as-is.
+    /// `backend` names the kernel; [`SimBackend::EventDriven`] is the
+    /// only one.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Unstable`] if the design oscillates at time 0.
     pub fn new(design: &Arc<Design>, backend: SimBackend) -> Result<AnySim, SimError> {
-        Ok(match backend {
-            SimBackend::EventDriven => AnySim::Event(Simulator::from_arc(Arc::clone(design))?),
-            SimBackend::Compiled => AnySim::Compiled(PooledSim::detached(
-                CompiledSim::from_compiled(Arc::new(CompiledDesign::from_arc(Arc::clone(design))))?,
-            )),
-        })
-    }
-
-    /// Which backend this simulation runs on.
-    pub fn backend(&self) -> SimBackend {
-        match self {
-            AnySim::Event(_) => SimBackend::EventDriven,
-            AnySim::Compiled(_) => SimBackend::Compiled,
-        }
+        // Irrefutable while there is one kernel; a new variant must be
+        // wired in here.
+        let SimBackend::EventDriven = backend;
+        Ok(AnySim(Simulator::from_arc(Arc::clone(design))?))
     }
 }
 
 impl SimControl for AnySim {
     fn design(&self) -> &Design {
-        match self {
-            AnySim::Event(s) => s.design(),
-            AnySim::Compiled(s) => s.design(),
-        }
+        self.0.design()
     }
     fn time(&self) -> u64 {
-        match self {
-            AnySim::Event(s) => s.time(),
-            AnySim::Compiled(s) => s.time(),
-        }
+        self.0.time()
     }
     fn set_time(&mut self, time: u64) {
-        match self {
-            AnySim::Event(s) => s.set_time(time),
-            AnySim::Compiled(s) => s.set_time(time),
-        }
+        self.0.set_time(time);
     }
     fn peek(&self, id: SignalId) -> Logic {
-        match self {
-            AnySim::Event(s) => s.peek(id),
-            AnySim::Compiled(s) => s.peek(id),
-        }
+        self.0.peek(id)
     }
     fn peek_word(&self, id: SignalId, index: u64) -> Logic {
-        match self {
-            AnySim::Event(s) => s.peek_word(id, index),
-            AnySim::Compiled(s) => s.peek_word(id, index),
-        }
+        self.0.peek_word(id, index)
     }
     fn poke(&mut self, id: SignalId, value: Logic) -> Result<(), SimError> {
-        match self {
-            AnySim::Event(s) => s.poke(id, value),
-            AnySim::Compiled(s) => s.poke(id, value),
-        }
+        self.0.poke(id, value)
     }
     fn settle(&mut self) -> Result<(), SimError> {
-        match self {
-            AnySim::Event(s) => s.settle(),
-            AnySim::Compiled(s) => s.settle(),
-        }
+        self.0.settle()
     }
 }
 
@@ -233,30 +179,28 @@ mod tests {
     use uvllm_verilog::parse;
 
     #[test]
-    fn labels_round_trip_and_env_default() {
-        for b in SimBackend::ALL {
-            assert_eq!(SimBackend::from_label(b.label()), Some(b));
+    fn labels_round_trip_and_legacy_aliases_decode() {
+        let b = SimBackend::default();
+        assert_eq!(b, SimBackend::EventDriven);
+        assert_eq!(SimBackend::from_label(b.label()), Some(b));
+        for legacy in ["compiled", "levelized", "event-driven"] {
+            assert_eq!(SimBackend::from_label(legacy), Some(SimBackend::EventDriven));
         }
-        assert_eq!(SimBackend::from_label("levelized"), Some(SimBackend::Compiled));
         assert_eq!(SimBackend::from_label("nope"), None);
-        assert_eq!(SimBackend::default(), SimBackend::EventDriven);
     }
 
     #[test]
-    fn any_sim_runs_on_both_backends() {
+    fn any_sim_wraps_the_event_kernel() {
         let file = parse(
             "module add(input [7:0] a, input [7:0] b, output [8:0] y);\n\
              assign y = a + b;\nendmodule\n",
         )
         .unwrap();
         let design = Arc::new(elaborate(&file, "add").unwrap());
-        for backend in SimBackend::ALL {
-            let mut sim = AnySim::new(&design, backend).unwrap();
-            assert_eq!(sim.backend(), backend);
-            sim.poke_by_name("a", Logic::from_u128(8, 17)).unwrap();
-            sim.poke_by_name("b", Logic::from_u128(8, 25)).unwrap();
-            assert_eq!(sim.peek_by_name("y").unwrap().to_u128(), Some(42), "{backend}");
-            assert!(sim.named_values().contains_key("y"));
-        }
+        let mut sim = AnySim::new(&design, SimBackend::EventDriven).unwrap();
+        sim.poke_by_name("a", Logic::from_u128(8, 17)).unwrap();
+        sim.poke_by_name("b", Logic::from_u128(8, 25)).unwrap();
+        assert_eq!(sim.peek_by_name("y").unwrap().to_u128(), Some(42));
+        assert!(sim.named_values().contains_key("y"));
     }
 }

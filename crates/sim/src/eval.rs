@@ -145,7 +145,7 @@ fn eval_binary<R: ValueReader>(r: &R, op: BinaryOp, a: &LExpr, b: &LExpr, w: u32
 /// Evaluates `e` in a context of at least `width` bits and stores the
 /// result, masked to exactly `width` bits, into `out`.
 ///
-/// This is the assignment-staging helper of the kernels' hot loops:
+/// This is the assignment-staging helper of the kernel's hot loop:
 /// the context evaluation and the target-width truncation happen in
 /// one step and the result lands in a slot the caller reuses across
 /// ops. (`Logic` is `Copy` — two `u128` planes — so expression

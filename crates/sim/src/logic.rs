@@ -154,7 +154,7 @@ impl Logic {
     }
 
     /// Stores `value` (1 bit) at `index` in place; out-of-range writes
-    /// are ignored. The in-place masked word ops are the kernels'
+    /// are ignored. The in-place masked word ops are the kernel's
     /// write-application primitive — no temporary value is built.
     pub fn set_bit(&mut self, index: u32, value: Logic) {
         if index >= self.width {

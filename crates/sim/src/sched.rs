@@ -8,7 +8,7 @@
 //! set, the NBA queue, the write-staging buffer — cleared, never
 //! dropped, between deltas), so a steady-state cycle performs **zero
 //! heap allocations**. `tests/alloc_steady_state.rs` enforces that
-//! bound on this kernel alongside the compiled one.
+//! bound on every golden design.
 
 use crate::elab::{Design, Process, ProcessId, SignalId, SignalKind, Trigger};
 use crate::eval::{case_matches, eval, eval_into, ValueReader};
@@ -518,8 +518,8 @@ impl Simulator {
             }
             Dst::Word { sig, index, width, limit } => {
                 let i = eval(&self.view(), index, index.width).to_u128()?;
-                // The `as u64` truncation mirrors the compiled kernel's
-                // word resolution exactly (equivalence over speed).
+                // The `as u64` truncation mirrors the word resolution of
+                // array reads in `eval`, so writes and reads agree.
                 if (i as u64) < *limit as u64 {
                     Some(Write {
                         signal: *sig,

@@ -9,9 +9,7 @@ use crate::scoreboard::{Coverage, Mismatch, Scoreboard};
 use crate::sequence::Sequence;
 use std::fmt;
 use std::sync::Arc;
-use uvllm_sim::{
-    AnySim, CheckoutError, Design, Logic, SimBackend, SimControl, SimError, Simulator, Waveform,
-};
+use uvllm_sim::{AnySim, Design, Logic, SimBackend, SimControl, SimError, Waveform};
 
 /// Nanoseconds per clock cycle in the recorded waveform.
 pub const CYCLE_TIME: u64 = 10;
@@ -45,7 +43,7 @@ impl std::error::Error for UvmError {}
 pub struct Driver;
 
 impl Driver {
-    /// Applies every input value of `txn` (works on either kernel),
+    /// Applies every input value of `txn` (works on any [`SimControl`]),
     /// resolving port names on the fly.
     pub fn drive<S: SimControl + ?Sized>(
         &self,
@@ -246,8 +244,7 @@ impl fmt::Debug for Environment {
 }
 
 impl Environment {
-    /// Builds an environment around a shared elaborated design on the
-    /// process-default backend ([`SimBackend::from_env`]). The `Arc`
+    /// Builds an environment around a shared elaborated design. The `Arc`
     /// is threaded through to the kernel as-is — nothing on this path
     /// clones the design.
     ///
@@ -261,27 +258,12 @@ impl Environment {
         refmodel: Box<dyn RefModel>,
         sequences: Vec<Box<dyn Sequence>>,
     ) -> Result<Self, UvmError> {
-        Environment::new_with(design, iface, refmodel, sequences, SimBackend::from_env())
-    }
-
-    /// Builds an environment around a shared elaborated design on an
-    /// explicit simulation backend.
-    ///
-    /// # Errors
-    ///
-    /// As [`Environment::new`].
-    pub fn new_with(
-        design: &Arc<Design>,
-        iface: DutInterface,
-        refmodel: Box<dyn RefModel>,
-        sequences: Vec<Box<dyn Sequence>>,
-        backend: SimBackend,
-    ) -> Result<Self, UvmError> {
-        let sim = AnySim::new(design, backend).map_err(|e| UvmError::Sim(e.to_string()))?;
+        let sim = AnySim::new(design, SimBackend::EventDriven)
+            .map_err(|e| UvmError::Sim(e.to_string()))?;
         Environment::with_sim(sim, iface, refmodel, sequences)
     }
 
-    /// Wraps an already-built simulation (either kernel), binding the
+    /// Wraps an already-built simulation, binding the
     /// reference model to the interface's [`IoSpec`].
     ///
     /// # Errors
@@ -367,8 +349,7 @@ impl Environment {
         self
     }
 
-    /// Parses, elaborates and wraps `src` in one call on the
-    /// process-default backend ([`SimBackend::from_env`]).
+    /// Parses, elaborates and wraps `src` in one call.
     ///
     /// Elaboration goes through the process-wide content-addressed
     /// cache ([`uvllm_sim::cache`]), so repeated runs over the same
@@ -386,16 +367,10 @@ impl Environment {
         refmodel: Box<dyn RefModel>,
         sequences: Vec<Box<dyn Sequence>>,
     ) -> Result<Self, UvmError> {
-        Environment::from_source_with(src, top, iface, refmodel, sequences, SimBackend::from_env())
+        Environment::from_source_with(src, top, iface, refmodel, sequences, SimBackend::EventDriven)
     }
 
-    /// Parses, elaborates and wraps `src` on an explicit backend. The
-    /// compiled backend additionally memoises the *compiled* design
-    /// ([`uvllm_sim::compile_source_cached`]) **and** checks a reusable
-    /// simulation instance out of the process-wide pool
-    /// ([`uvllm_sim::checkout_sim`]): repeated texts skip elaboration,
-    /// levelization *and* re-instantiation — the instance's state is
-    /// rewound instead.
+    /// [`Environment::from_source`] with the simulation backend named.
     ///
     /// # Errors
     ///
@@ -408,28 +383,9 @@ impl Environment {
         sequences: Vec<Box<dyn Sequence>>,
         backend: SimBackend,
     ) -> Result<Self, UvmError> {
-        let sim = match backend {
-            SimBackend::EventDriven => {
-                let design =
-                    uvllm_sim::elaborate_source_cached(src, top).map_err(UvmError::Elab)?;
-                AnySim::Event(
-                    Simulator::from_arc(design).map_err(|e| UvmError::Sim(e.to_string()))?,
-                )
-            }
-            SimBackend::Compiled => {
-                let pooled = uvllm_sim::checkout_sim(src, top).map_err(|e| match e {
-                    CheckoutError::Build(m) => UvmError::Elab(m),
-                    CheckoutError::Sim(e) => UvmError::Sim(e.to_string()),
-                })?;
-                AnySim::Compiled(pooled)
-            }
-        };
+        let design = uvllm_sim::elaborate_source_cached(src, top).map_err(UvmError::Elab)?;
+        let sim = AnySim::new(&design, backend).map_err(|e| UvmError::Sim(e.to_string()))?;
         Environment::with_sim(sim, iface, refmodel, sequences)
-    }
-
-    /// The simulation backend this environment runs on.
-    pub fn backend(&self) -> SimBackend {
-        self.sim.backend()
     }
 
     /// Runs every sequence to exhaustion, returning the summary.
@@ -791,27 +747,6 @@ mod tests {
         assert_eq!(summary.unstable, Some(uvllm_sim::MAX_ACTIVATIONS));
         // The scoreboard keeps whatever cycles completed before the hang.
         assert!(summary.pass_rate <= 1.0);
-    }
-
-    #[test]
-    fn both_backends_run_the_same_environment() {
-        for backend in SimBackend::ALL {
-            let iface = adder_iface();
-            let seqs: Vec<Box<dyn Sequence>> =
-                vec![Box::new(RandomSequence::new(&iface.inputs, 25, 11))];
-            let env = Environment::from_source_with(
-                GOOD_ADDER,
-                "add",
-                iface,
-                adder_model(),
-                seqs,
-                backend,
-            )
-            .expect("env");
-            assert_eq!(env.backend(), backend);
-            let summary = env.run();
-            assert!(summary.all_passed(), "{backend}: {}", summary.log.render());
-        }
     }
 
     #[test]

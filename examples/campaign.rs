@@ -6,7 +6,6 @@
 //! cargo run --release --example campaign -- --workers 8
 //! cargo run --release --example campaign -- --workers 8 --shard 0/4 --out shard0.jsonl
 //! cargo run --release --example campaign -- --size 60 --methods UVLLM,MEIC
-//! cargo run --release --example campaign -- --backend compiled
 //! cargo run --release --example campaign -- --workers 8 --llm-batch 8
 //! cargo run --release --example campaign -- --llm-batch 8 --llm-latency-ms 5 --llm-telemetry
 //! cargo run --release --example campaign -- --metrics-out metrics.json
@@ -49,7 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use uvllm_campaign::{
     expected_job_ids, merge_rows, read_shard, BatchConfig, Campaign, CampaignConfig,
-    CampaignReport, FaultPlan, JsonlSink, MethodKind, ResiliencePolicy, ShardSpec, SimBackend,
+    CampaignReport, FaultPlan, JsonlSink, MethodKind, ResiliencePolicy, ShardSpec,
 };
 use uvllm_json::{s, Json};
 use uvllm_serve::{
@@ -63,13 +62,13 @@ struct Args {
     /// into DIR and exit (no campaign run).
     emit_json: Option<String>,
     /// `--import-json FILE`: import a Yosys-JSON netlist and run the
-    /// interchange smoke (both kernels, optimized vs unoptimized,
-    /// re-export fixpoint) instead of a campaign.
+    /// interchange smoke (optimized vs unoptimized, re-export fixpoint)
+    /// instead of a campaign.
     import_json: Option<String>,
 }
 
 const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
-     [--seed HEX] [--methods A,B,..] [--backend event|compiled] [--opt-level 0..3] \
+     [--seed HEX] [--methods A,B,..] [--opt-level 0..3] \
      [--llm-batch N] [--llm-max-wait-ms MS] [--llm-latency-ms MS] \
      [--llm-telemetry] [--metrics-out FILE] [--metrics-flush-jobs N] [--out FILE]\n\
      \x20      campaign [--fault-seed HEX] [--fault-error-rate F] [--fault-malform-rate F] \
@@ -87,7 +86,7 @@ const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
      [--poll-ms MS] [--idle-exit N] [--once] [--llm-batch N] [--llm-max-wait-ms MS] \
      [--abort-after-rows N]\n\
      \x20      campaign submit --connect HOST:PORT [--size N] [--seed HEX] [--methods A,B,..] \
-     [--backend event|compiled] [--opt-level 0..3] [--shards N] [--lease-ms MS]\n\
+     [--opt-level 0..3] [--shards N] [--lease-ms MS]\n\
      \x20      campaign status --connect HOST:PORT RUN [--wait] [--rows-out FILE]\n\
      \x20      campaign metrics --connect HOST:PORT [--out FILE]\n\
      \x20      campaign shutdown --connect HOST:PORT | campaign ping --connect HOST:PORT\n\
@@ -172,11 +171,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "--workers must be a number".to_string())?;
             }
             "--shard" => config.shard = ShardSpec::parse(&value("--shard")?)?,
-            "--backend" => {
-                let text = value("--backend")?;
-                config.backend = SimBackend::from_label(&text)
-                    .ok_or_else(|| format!("unknown backend '{text}' (event|compiled)"))?;
-            }
             "--llm-batch" => {
                 let max_batch: usize = value("--llm-batch")?
                     .parse()
@@ -322,14 +316,13 @@ fn run_campaign() -> Result<(), String> {
         None => "per-job llm".to_string(),
     };
     println!(
-        "campaign: {} instances x {} methods, {} workers, shard {}/{}, {} kernel, \
-         opt O{}, {llm_mode}, sink {out}",
+        "campaign: {} instances x {} methods, {} workers, shard {}/{}, opt O{}, \
+         {llm_mode}, sink {out}",
         config.dataset_size,
         config.methods.len(),
         config.effective_workers(),
         config.shard.index,
         config.shard.count,
-        config.backend,
         config.opt_level,
     );
 
@@ -423,7 +416,7 @@ fn run_emit_json(dir: &str) -> Result<(), String> {
 
 /// `--import-json FILE`: imports a Yosys-JSON netlist (third-party or
 /// our own export) and runs the interchange smoke — seeded random
-/// stimulus on both kernels with the optimized design pinned
+/// stimulus with the optimized design pinned
 /// port-identical to the unoptimized one, plus the re-export fixpoint.
 fn run_import_smoke(path: &str, opt_level: u8) -> Result<(), String> {
     use std::sync::Arc;
@@ -455,15 +448,13 @@ fn run_import_smoke(path: &str, opt_level: u8) -> Result<(), String> {
         stats.depth_after,
     );
 
-    // Drive all four sims (base/opt x event/compiled) in lockstep under
-    // seeded random stimulus; every port must agree on every cycle.
+    // Drive base and optimized in lockstep under seeded random
+    // stimulus; every port must agree on every cycle.
     let base = Arc::new(base);
     let opt = Arc::new(opt);
     let mut sims = [
         AnySim::new(&base, SimBackend::EventDriven).map_err(|e| e.to_string())?,
-        AnySim::new(&base, SimBackend::Compiled).map_err(|e| e.to_string())?,
         AnySim::new(&opt, SimBackend::EventDriven).map_err(|e| e.to_string())?,
-        AnySim::new(&opt, SimBackend::Compiled).map_err(|e| e.to_string())?,
     ];
     let inputs: Vec<(String, u32)> = base
         .inputs()
@@ -507,7 +498,7 @@ fn run_import_smoke(path: &str, opt_level: u8) -> Result<(), String> {
             }
         }
     }
-    println!("equivalence: {CYCLES} cycles, base==optimized on both kernels, all ports");
+    println!("equivalence: {CYCLES} cycles, base==optimized, all ports");
 
     // Re-export fixpoint: our export of the imported design must
     // round-trip byte-identically through import.
@@ -779,11 +770,6 @@ fn run_submit(args: Vec<String>) -> Result<(), String> {
         }
         match flag.as_str() {
             "--connect" => server = value("--connect")?,
-            "--backend" => {
-                let text = value("--backend")?;
-                config.backend = SimBackend::from_label(&text)
-                    .ok_or_else(|| format!("unknown backend '{text}' (event|compiled)"))?;
-            }
             "--opt-level" => {
                 config.opt_level = value("--opt-level")?
                     .parse()
@@ -803,7 +789,6 @@ fn run_submit(args: Vec<String>) -> Result<(), String> {
         ("size".to_string(), Json::Num(config.dataset_size as f64)),
         ("seed".to_string(), s(format!("0x{:X}", config.dataset_seed))),
         ("methods".to_string(), Json::Arr(config.methods.iter().map(|m| s(m.label())).collect())),
-        ("backend".to_string(), s(config.backend.label())),
         ("opt_level".to_string(), Json::Num(config.opt_level as f64)),
         ("shards".to_string(), Json::Num(shards as f64)),
     ];
@@ -817,10 +802,9 @@ fn run_submit(args: Vec<String>) -> Result<(), String> {
     let run =
         json.get("run").and_then(Json::as_str).ok_or("POST /jobs answered without a run id")?;
     eprintln!(
-        "submitted {run}: {} instances x {} methods, {} kernel, {shards} shard(s)",
+        "submitted {run}: {} instances x {} methods, {shards} shard(s)",
         config.dataset_size,
         config.methods.len(),
-        config.backend,
     );
     println!("{run}");
     Ok(())
