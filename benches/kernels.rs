@@ -312,11 +312,9 @@ fn write_bench_json() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(uvllm::dataset::PAPER_DATASET_SIZE);
-    // Benches run with CWD = crates/bench; default the record to the
-    // workspace root so it sits next to README.
-    let path = std::env::var("UVLLM_BENCH_JSON").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json").to_string()
-    });
+    // Default the record to the workspace root, next to README.
+    let path = std::env::var("UVLLM_BENCH_JSON")
+        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_kernels.json").to_string());
     let costs = kernel_cycle_costs(20_000);
     let kernel_ns = costs.ns_per_cycle;
     let alloc_per_cycle = costs.allocs_per_cycle;

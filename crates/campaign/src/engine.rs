@@ -3,7 +3,7 @@
 
 use crate::eval::{EvalRecord, LlmPolicy, MethodKind, SharedLlm};
 use crate::job::{expand_jobs, Job, ShardSpec};
-use crate::queue::{run_pool, run_pool_supervised, PoolPolicy, PoolStats};
+use crate::queue::{run_pool_supervised, PoolPolicy, PoolStats};
 use crate::report::CampaignReport;
 use crate::sink::ResultSink;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -14,7 +14,7 @@ use uvllm_sim::SimBackend;
 
 /// Registry handles for the engine (`campaign.*`), resolved once.
 /// Worker-side counters (`campaign.worker.<i>.jobs`, `campaign.queue_depth`)
-/// live in [`crate::queue::run_pool`].
+/// live in [`crate::queue::run_pool_supervised`].
 #[derive(Debug)]
 struct CampaignMetrics {
     /// Rows successfully appended to the sink by this process.
@@ -116,59 +116,13 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Resolves `workers == 0` to [`default_worker_count`].
-    ///
-    /// Prefer validating through [`Campaign::new`], which resolves the
-    /// count up front and surfaces a bad `UVLLM_WORKERS` as a config
-    /// `Err` instead of this method's panic.
+    /// Resolves `workers == 0` to one worker per available CPU.
     pub fn effective_workers(&self) -> usize {
         if self.workers > 0 {
             self.workers
         } else {
-            default_worker_count()
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         }
-    }
-}
-
-/// Reads the worker-count override from `UVLLM_WORKERS`.
-///
-/// Returns `Ok(None)` when the variable is unset.
-///
-/// # Errors
-///
-/// A set-but-invalid value (not a positive integer) is rejected with a
-/// message naming the variable — never silently replaced by the CPU
-/// count, which used to mask typos like `UVLLM_WORKERS=eight`.
-pub fn worker_count_from_env() -> Result<Option<usize>, String> {
-    match std::env::var("UVLLM_WORKERS") {
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            Err("UVLLM_WORKERS is set to a non-unicode value".to_string())
-        }
-        Ok(text) => match text.trim().parse::<usize>() {
-            Ok(n) if n > 0 => Ok(Some(n)),
-            _ => Err(format!(
-                "UVLLM_WORKERS must be a positive integer, got '{text}' \
-                 (unset it to use one worker per available CPU)"
-            )),
-        },
-    }
-}
-
-/// The worker count used when none is configured: the `UVLLM_WORKERS`
-/// environment variable, else one worker per available CPU. The single
-/// sizing policy for campaigns and the bench harness alike.
-///
-/// # Panics
-///
-/// Panics with [`worker_count_from_env`]'s message when the variable is
-/// set but invalid — a configuration error that must not degrade into a
-/// silent CPU-count fallback.
-pub fn default_worker_count() -> usize {
-    match worker_count_from_env() {
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        Err(message) => panic!("{message}"),
     }
 }
 
@@ -203,8 +157,7 @@ pub struct CampaignOutcome {
 #[derive(Debug, Clone)]
 pub struct Campaign {
     config: CampaignConfig,
-    /// Worker count resolved at validation time (so a bad
-    /// `UVLLM_WORKERS` is a config `Err`, not a mid-run panic).
+    /// Worker count resolved at validation time.
     workers: usize,
 }
 
@@ -213,11 +166,8 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Rejects an invalid shard spec, an empty method list, a bad opt
-    /// level, or — when `config.workers == 0` defers sizing to the
-    /// environment — an unparsable `UVLLM_WORKERS` value
-    /// ([`worker_count_from_env`]'s message, propagated instead of
-    /// panicking inside the run).
+    /// Rejects an invalid shard spec, an empty method list or a bad opt
+    /// level.
     pub fn new(config: CampaignConfig) -> Result<Campaign, String> {
         config.shard.validate()?;
         if config.methods.is_empty() {
@@ -226,14 +176,7 @@ impl Campaign {
         if uvllm_netlist::OptLevel::from_u8(config.opt_level).is_none() {
             return Err(format!("opt level must be 0..=3, got {}", config.opt_level));
         }
-        let workers = if config.workers > 0 {
-            config.workers
-        } else {
-            match worker_count_from_env()? {
-                Some(n) => n,
-                None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            }
-        };
+        let workers = config.effective_workers();
         Ok(Campaign { config, workers })
     }
 
@@ -425,19 +368,6 @@ impl Campaign {
     }
 }
 
-/// Evaluates one method over pre-built instances on a worker pool,
-/// returning records in instance order — the parallel engine behind
-/// `uvllm_bench::harness::evaluate`.
-pub fn evaluate_parallel(
-    method: MethodKind,
-    instances: &[BenchInstance],
-    workers: usize,
-) -> Vec<EvalRecord> {
-    let shared: Vec<Arc<BenchInstance>> = instances.iter().cloned().map(Arc::new).collect();
-    let jobs = expand_jobs(&shared, &[method]);
-    run_pool(jobs, workers.max(1), SimBackend::EventDriven, &LlmPolicy::direct(), |_, _| {})
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,29 +427,6 @@ mod tests {
         expected.sort();
         union.sort();
         assert_eq!(union, expected, "3-way shard must partition the campaign exactly");
-    }
-
-    #[test]
-    fn unparsable_worker_env_is_rejected_not_defaulted() {
-        // Other tests in this binary pass explicit worker counts, so
-        // mutating the variable here cannot change their behaviour.
-        std::env::set_var("UVLLM_WORKERS", "eight");
-        let err = worker_count_from_env().unwrap_err();
-        assert!(err.contains("UVLLM_WORKERS"), "error must name the variable: {err}");
-        assert!(err.contains("eight"), "error must echo the bad value: {err}");
-        // Campaign::new resolves workers eagerly, so an auto-workers
-        // config (workers == 0) surfaces the same error as Err instead
-        // of panicking inside the pool later.
-        let err = Campaign::new(tiny_config(0)).map(|_| ()).unwrap_err();
-        assert!(err.contains("UVLLM_WORKERS"), "Campaign::new must propagate the env error: {err}");
-        std::env::set_var("UVLLM_WORKERS", "0");
-        assert!(worker_count_from_env().is_err(), "zero workers is invalid");
-        std::env::set_var("UVLLM_WORKERS", "3");
-        assert_eq!(worker_count_from_env(), Ok(Some(3)));
-        assert_eq!(default_worker_count(), 3);
-        std::env::remove_var("UVLLM_WORKERS");
-        assert_eq!(worker_count_from_env(), Ok(None));
-        assert!(default_worker_count() >= 1);
     }
 
     /// The core gate of the resilience layer: a campaign with LLM

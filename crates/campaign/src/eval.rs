@@ -1,9 +1,5 @@
 //! Per-job evaluation: method dispatch, the `EvalRecord` produced for
 //! every (instance × method) pair, and its deterministic JSONL form.
-//!
-//! This logic moved here from `uvllm-bench::harness` so the campaign
-//! engine can own it; the bench crate re-exports everything for
-//! compatibility.
 
 use std::time::Duration;
 use uvllm::{BenchInstance, Stage, StageTimes, Uvllm, Verdict, VerifyConfig};
@@ -385,7 +381,7 @@ impl EvalRow {
     /// Returns a message naming the offending member: whether it is
     /// missing outright or present with the wrong type (and which type
     /// was found). Callers that know the line's position prefix it as
-    /// `path:line:` — [`crate::sink::SinkTailer`] and `campaign merge`
+    /// `path:line:` — [`crate::sink::SinkTailer`] and `uvllm merge`
     /// both do, so shard diagnostics point at the exact line and key.
     pub fn from_json_line(line: &str) -> Result<EvalRow, String> {
         let v = Json::parse(line.trim())?;
@@ -654,6 +650,39 @@ mod tests {
         assert_eq!(back, row);
         assert_eq!(back.id, rec.job_id());
         assert!(back.id.ends_with("@UVLLM"));
+    }
+
+    #[test]
+    fn evaluate_one_produces_consistent_record() {
+        let d = by_name("adder_8bit").unwrap();
+        let inst = build_instance(d, ErrorKind::OperatorMisuse, 5).expect("instance");
+        let rec = evaluate_one(MethodKind::Uvllm, &inst);
+        assert_eq!(rec.design, "adder_8bit");
+        assert_eq!(rec.group, uvllm_designs::Category::Arithmetic);
+        assert!(rec.texec > 0.0);
+        // Fixed implies hit (the FR campaign includes the public vectors).
+        assert!(!rec.fixed || rec.hit);
+        assert!(rec.stage_times.is_some(), "UVLLM records carry per-stage times");
+    }
+
+    #[test]
+    fn script_methods_report_zero_llm_usage() {
+        let d = by_name("alu_8bit").unwrap();
+        let inst = build_instance(d, ErrorKind::OperatorMisuse, 2).expect("instance");
+        for method in [MethodKind::Strider, MethodKind::RtlRepair] {
+            assert_eq!(evaluate_one(method, &inst).usage.calls, 0, "{method:?}");
+        }
+    }
+
+    #[test]
+    fn methods_are_deterministic() {
+        let d = by_name("counter_12").unwrap();
+        let inst = build_instance(d, ErrorKind::ValueMisuse, 9).expect("instance");
+        let a = evaluate_one(MethodKind::Meic, &inst);
+        let b = evaluate_one(MethodKind::Meic, &inst);
+        assert_eq!(a.fixed, b.fixed);
+        assert_eq!(a.hit, b.hit);
+        assert_eq!(a.usage.calls, b.usage.calls);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`Job`] — one (benchmark instance × method) unit of work;
 //!   [`ShardSpec`] assigns jobs to cooperating processes by stable
 //!   hash, so `--shard i/n` partitions a campaign with no coordination.
-//! * [`WorkQueue`] / [`queue::run_pool`] — a shared `Mutex<VecDeque>`
+//! * [`WorkQueue`] / [`run_pool_supervised`] — a shared `Mutex<VecDeque>`
 //!   drained by `N` OS threads (`std::thread::scope`); jobs are coarse,
 //!   so one lock per job is noise. The pool is supervision-grade:
 //!   per-job `catch_unwind` with requeue-once-then-quarantine
@@ -21,10 +21,10 @@
 //!   wraps every job's service in retry/backoff + circuit breaking +
 //!   degradation ([`uvllm_llm::ResiliencePolicy`]); degraded jobs are
 //!   tagged in their rows (`"degraded": true`).
-//! * [`evaluate_one`] — the per-job evaluation (moved here from
-//!   `uvllm-bench`), a *pure function of the job*: each job owns an
-//!   [`OracleLlm`](uvllm_llm::OracleLlm) seeded from the instance seed
-//!   and method salt, and the pipeline owns its LLM service handle
+//! * [`evaluate_one`] — the per-job evaluation, a *pure function of
+//!   the job*: each job owns an [`OracleLlm`](uvllm_llm::OracleLlm)
+//!   seeded from the instance seed and method salt, and the pipeline
+//!   owns its LLM service handle
 //!   ([`uvllm::Uvllm`] is generic over `S: LlmService`), so no mutable
 //!   LLM state is shared across workers.
 //! * [`LlmPolicy`] / [`SharedLlm`] — how jobs obtain that handle:
@@ -35,7 +35,7 @@
 //!   worker into batches so LLM round trips overlap simulation time.
 //!   Sessions see their own prompts in submission order, so rows are
 //!   byte-identical batched or not.
-//! * [`merge_rows`] / `campaign merge` — combine shard JSONL files into
+//! * [`merge_rows`] / `uvllm merge` — combine shard JSONL files into
 //!   one report, validating shard disjointness and full job-space
 //!   coverage (failures name the `(instance, method)` pairs).
 //! * elaboration cache — [`Campaign::run`] pre-elaborates every golden
@@ -46,8 +46,9 @@
 //! * [`ResultSink`] / [`JsonlSink`] — every finished row is streamed as
 //!   one JSON line and flushed; reopening the file resumes the
 //!   campaign, skipping completed job ids.
-//! * [`CampaignReport`] — the Table II / Fig. 5–7 rollups over rows,
-//!   identical for fresh and resumed runs.
+//! * [`CampaignReport`] — the paper's Table II, Table III and
+//!   Fig. 5–7 rollups over rows, identical for fresh, resumed and
+//!   merged runs; the `uvllm` binary prints it after every run.
 //!
 //! **Determinism contract:** the same [`CampaignConfig`] produces
 //! byte-identical JSONL rows (modulo row order) at any worker count and
@@ -80,10 +81,7 @@ pub mod queue;
 pub mod report;
 pub mod sink;
 
-pub use engine::{
-    default_worker_count, evaluate_parallel, worker_count_from_env, Campaign, CampaignConfig,
-    CampaignOutcome,
-};
+pub use engine::{Campaign, CampaignConfig, CampaignOutcome};
 pub use eval::{
     evaluate_one, evaluate_one_on, job_id, EvalRecord, EvalRow, LlmPolicy, MethodKind, SharedLlm,
 };

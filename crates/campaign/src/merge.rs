@@ -1,4 +1,4 @@
-//! `campaign merge`: combine N shard JSONL files into one validated
+//! `uvllm merge`: combine N shard JSONL files into one validated
 //! report.
 //!
 //! Sharded campaigns (`--shard i/n`) write independent JSONL files that

@@ -153,24 +153,13 @@ fn quarantine_record(job: &Job, backend: SimBackend, verdict: Verdict) -> EvalRe
 /// Runs `jobs` on `workers` OS threads with every evaluation on
 /// `backend`, drawing LLM service handles from `llm` (a per-job
 /// [`uvllm_llm::DirectService`], or sessions of the shared
-/// [`crate::SharedLlm`] so workers' LLM round trips overlap);
+/// [`crate::SharedLlm`] so workers' LLM round trips overlap), under
+/// the supervision `policy` (module docs describe the semantics).
 /// `on_record` observes every finished job (from worker threads, in
-/// completion order) and the returned list is sorted back into job
-/// order.
+/// completion order); the returned list is sorted back into job order,
+/// next to what supervision did.
 ///
 /// `workers == 0` is treated as 1.
-pub fn run_pool(
-    jobs: Vec<Job>,
-    workers: usize,
-    backend: SimBackend,
-    llm: &LlmPolicy<'_>,
-    on_record: impl Fn(&Job, &EvalRecord) + Sync,
-) -> Vec<EvalRecord> {
-    run_pool_supervised(jobs, workers, backend, llm, &PoolPolicy::default(), on_record).0
-}
-
-/// [`run_pool`] under an explicit supervision policy, also returning
-/// what supervision did (module docs describe the semantics).
 pub fn run_pool_supervised(
     jobs: Vec<Job>,
     workers: usize,
@@ -372,18 +361,52 @@ mod tests {
         let jobs = jobs_on("mux4", &[MethodKind::Strider, MethodKind::RtlRepair], 3);
         let expected: Vec<String> = jobs.iter().map(Job::id).collect();
         let seen = AtomicUsize::new(0);
-        let records = run_pool(jobs, 4, SimBackend::default(), &LlmPolicy::direct(), |_, _| {
-            seen.fetch_add(1, Ordering::Relaxed);
-        });
+        let (records, _) = run_pool_supervised(
+            jobs,
+            4,
+            SimBackend::default(),
+            &LlmPolicy::direct(),
+            &PoolPolicy::default(),
+            |_, _| {
+                seen.fetch_add(1, Ordering::Relaxed);
+            },
+        );
         assert_eq!(seen.load(Ordering::Relaxed), expected.len());
         let got: Vec<String> = records.iter().map(EvalRecord::job_id).collect();
         assert_eq!(got, expected, "results must come back in job order");
     }
 
     #[test]
+    fn pool_rows_match_serial_evaluate_one() {
+        let jobs = jobs_on("adder_8bit", &[MethodKind::Uvllm, MethodKind::Strider], 4);
+        let serial: Vec<String> = jobs
+            .iter()
+            .map(|job| crate::evaluate_one(job.method, &job.instance).to_row().to_json_line())
+            .collect();
+        let policy = PoolPolicy::default();
+        let (pooled, _) = run_pool_supervised(
+            jobs,
+            3,
+            SimBackend::default(),
+            &LlmPolicy::direct(),
+            &policy,
+            |_, _| {},
+        );
+        let pooled: Vec<String> = pooled.iter().map(|r| r.to_row().to_json_line()).collect();
+        assert_eq!(pooled, serial, "pooled rows must equal serial evaluate_one rows");
+    }
+
+    #[test]
     fn empty_queue_is_fine() {
-        let records =
-            run_pool(Vec::new(), 8, SimBackend::default(), &LlmPolicy::direct(), |_, _| {});
+        let records = run_pool_supervised(
+            Vec::new(),
+            8,
+            SimBackend::default(),
+            &LlmPolicy::direct(),
+            &PoolPolicy::default(),
+            |_, _| {},
+        )
+        .0;
         assert!(records.is_empty());
     }
 

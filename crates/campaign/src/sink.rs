@@ -11,7 +11,7 @@
 //! only *complete* lines (a trailing line torn by a kill stays pending
 //! until its writer — or the resume terminator — finishes it), and
 //! locates every malformed line as `path:line: message`. The live
-//! aggregator in `uvllm-serve` polls it as rows land; `campaign merge`
+//! aggregator in `uvllm-serve` polls it as rows land; `uvllm merge`
 //! drives it once in strict mode; [`JsonlSink::open`] uses it to read
 //! back a previous run.
 

@@ -426,7 +426,7 @@ impl MetricsSnapshot {
 }
 
 /// Schema-checks a rendered snapshot (the CI gate behind
-/// `campaign metrics-check`): parses, verifies the schema tag, the
+/// `uvllm metrics-check`): parses, verifies the schema tag, the
 /// three sections, numeric members, and that histogram bucket labels
 /// are valid bucket floors with counts summing to `count`.
 ///

@@ -1,6 +1,6 @@
 //! The live aggregator: a rolling, deduplicated view of every run's
 //! shard sinks, built by tailing their JSONL files with
-//! [`SinkTailer`] — the same reader `campaign merge` uses, minus the
+//! [`SinkTailer`] — the same reader `uvllm merge` uses, minus the
 //! strictness: a torn trailing line here just means a worker is
 //! mid-append, so it stays pending until the next poll.
 //!
@@ -23,7 +23,7 @@ struct RunAgg {
     run: String,
     tailers: Vec<SinkTailer>,
     /// Job id → first row seen. BTreeMap iteration *is* the canonical
-    /// sorted row order `campaign merge` produces.
+    /// sorted row order `uvllm merge` produces.
     rows: BTreeMap<String, EvalRow>,
     /// Located parse failures, contract violations, foreign rows.
     diags: Vec<String>,

@@ -149,7 +149,9 @@ impl RunSpec {
         let lease = match json.get("lease_ms") {
             None => default_lease,
             Some(v) => Duration::from_millis(
-                v.as_u64().ok_or("submission member 'lease_ms' must be a positive integer")?,
+                v.as_u64()
+                    .filter(|&n| n >= 1)
+                    .ok_or("submission member 'lease_ms' must be a positive integer")?,
             ),
         };
         Ok(RunSpec { size, seed, methods, backend, opt_level, shards, lease })
@@ -775,6 +777,8 @@ mod tests {
         assert!(err("{\"size\": 1, \"backend\": \"warp\"}").contains("'warp'"));
         assert!(err("{\"size\": 1, \"opt_level\": 9}").contains("'opt_level'"));
         assert!(err("{\"size\": 1, \"seed\": \"0xZZ\"}").contains("'0xZZ'"));
+        // A zero lease would expire every grant the instant it is made.
+        assert!(err("{\"size\": 1, \"lease_ms\": 0}").contains("'lease_ms'"));
     }
 
     #[test]

@@ -3,11 +3,17 @@
 //! rollback and the MS→SL information escalation — quantifying what each
 //! contributes to the fix rate.
 //!
-//! Run: `cargo run -p uvllm-bench --bin ablation_framework --release`
+//! It runs `VerifyConfig` variants rather than a campaign method, so it
+//! lives here instead of in the `uvllm` report.
+//!
+//! Run: `cargo run --release --example ablation_framework`
 
 use uvllm::{BenchInstance, Uvllm, VerifyConfig};
-use uvllm_bench::report::{pct_cell, percent, Table};
+use uvllm_campaign::report::{pct_cell, percent, AsciiTable};
 use uvllm_llm::{ModelProfile, OracleLlm};
+
+/// Instances in the ablation dataset.
+const SIZE: usize = 160;
 
 fn run_with(config: &VerifyConfig, instances: &[BenchInstance]) -> (f64, f64) {
     let mut fixed_syntax = 0usize;
@@ -36,9 +42,8 @@ fn run_with(config: &VerifyConfig, instances: &[BenchInstance]) -> (f64, f64) {
 }
 
 fn main() {
-    let size = std::env::var("UVLLM_BENCH_SIZE").ok().and_then(|s| s.parse().ok()).unwrap_or(160);
-    eprintln!("building dataset ({size} instances)...");
-    let dataset = uvllm::build_dataset(size, 0xDA7A);
+    eprintln!("building dataset ({SIZE} instances)...");
+    let dataset = uvllm::build_dataset(SIZE, 0xDA7A);
 
     let configs: [(&str, VerifyConfig); 4] = [
         ("full framework", VerifyConfig::default()),
@@ -51,7 +56,7 @@ fn main() {
     ];
 
     println!("Framework-mechanism ablation (FR %, {} instances)\n", dataset.instances.len());
-    let mut table = Table::new(&["Configuration", "FR Syntax", "FR Func."]);
+    let mut table = AsciiTable::new(&["Configuration", "FR Syntax", "FR Func."]);
     for (label, config) in configs {
         eprintln!("  running {label}...");
         let (syn, func) = run_with(&config, &dataset.instances);

@@ -1,31 +1,36 @@
-//! Full-dataset verification campaign across all repair methods, on a
-//! sharded multi-worker engine with a resumable JSONL sink and an
-//! optional shared batched LLM service.
+//! `uvllm`: the one entry point. It runs the full-dataset verification
+//! campaign across all repair methods (on a sharded multi-worker engine
+//! with a resumable JSONL sink and an optional shared batched LLM
+//! service), merges shard files, checks metrics snapshots, exercises
+//! the Yosys-JSON interchange, and serves campaigns as a resident
+//! service. Every run prints the paper's Table II, Table III and
+//! Fig. 5-7 rollups over its sink. Flags are the only configuration.
 //!
 //! ```text
-//! cargo run --release --example campaign -- --workers 8
-//! cargo run --release --example campaign -- --workers 8 --shard 0/4 --out shard0.jsonl
-//! cargo run --release --example campaign -- --size 60 --methods UVLLM,MEIC
-//! cargo run --release --example campaign -- --workers 8 --llm-batch 8
-//! cargo run --release --example campaign -- --llm-batch 8 --llm-latency-ms 5 --llm-telemetry
-//! cargo run --release --example campaign -- --metrics-out metrics.json
-//! cargo run --release --example campaign -- --fault-error-rate 0.15 --llm-retries 8
-//! cargo run --release --example campaign -- --inject-panic '@RTLrepair' --job-deadline-ms 60000
-//! cargo run --release --example campaign -- merge shard0.jsonl shard1.jsonl --out merged.jsonl
-//! cargo run --release --example campaign -- metrics-check metrics.json
-//! cargo run --release --example campaign -- serve --addr 127.0.0.1:8091 --data-dir serve-data
-//! cargo run --release --example campaign -- serve --addr-file serve.addr --fsync every:32
-//! cargo run --release --example campaign -- worker --connect 127.0.0.1:8091 --workers 8
-//! cargo run --release --example campaign -- worker --addr-file serve.addr --workers 8
-//! cargo run --release --example campaign -- submit --connect 127.0.0.1:8091 --size 60 --shards 4
-//! cargo run --release --example campaign -- status --connect 127.0.0.1:8091 run-1 --wait
-//! cargo run --release --example campaign -- shutdown --connect 127.0.0.1:8091
+//! uvllm --workers 8
+//! uvllm --workers 8 --shard 0/4 --out shard0.jsonl
+//! uvllm --size 60 --methods UVLLM,MEIC
+//! uvllm --workers 8 --llm-batch 8
+//! uvllm --llm-batch 8 --llm-latency-ms 5 --llm-telemetry
+//! uvllm --metrics-out metrics.json
+//! uvllm --fault-error-rate 0.15 --llm-retries 8
+//! uvllm --inject-panic '@RTLrepair' --job-deadline-ms 60000
+//! uvllm merge shard0.jsonl shard1.jsonl --out merged.jsonl
+//! uvllm metrics-check metrics.json
+//! uvllm serve --addr 127.0.0.1:8091 --data-dir serve-data
+//! uvllm serve --addr-file serve.addr --fsync every:32
+//! uvllm worker --connect 127.0.0.1:8091 --workers 8
+//! uvllm worker --addr-file serve.addr --workers 8
+//! uvllm submit --connect 127.0.0.1:8091 --size 60 --shards 4
+//! uvllm status --connect 127.0.0.1:8091 run-1 --wait
+//! uvllm shutdown --connect 127.0.0.1:8091
 //! ```
 //!
 //! Re-running with the same `--out` resumes: completed jobs are read
-//! back from the file and skipped. Output rows are byte-identical
-//! (modulo order) for any `--workers` value, with `--llm-batch` on or
-//! off — batching changes wall-clock, not rows.
+//! back from the file and skipped, and the report covers the whole
+//! sink. Output rows are byte-identical (modulo order) for any
+//! `--workers` value (0, the default, means one per available CPU),
+//! with `--llm-batch` on or off — batching changes wall-clock, not rows.
 //!
 //! `merge` combines shard files into one report, validating shard
 //! disjointness and full job-space coverage (pass the same `--size` /
@@ -67,29 +72,29 @@ struct Args {
     import_json: Option<String>,
 }
 
-const USAGE: &str = "usage: campaign [--workers N] [--shard i/n] [--size N] \
+const USAGE: &str = "usage: uvllm [--workers N] [--shard i/n] [--size N] \
      [--seed HEX] [--methods A,B,..] [--opt-level 0..3] \
      [--llm-batch N] [--llm-max-wait-ms MS] [--llm-latency-ms MS] \
      [--llm-telemetry] [--metrics-out FILE] [--metrics-flush-jobs N] [--out FILE]\n\
-     \x20      campaign [--fault-seed HEX] [--fault-error-rate F] [--fault-malform-rate F] \
+     \x20      uvllm [--fault-seed HEX] [--fault-error-rate F] [--fault-malform-rate F] \
      [--fault-latency-ms MS]\n\
-     \x20      campaign [--llm-retries N] [--llm-timeout-ms MS] [--llm-breaker-threshold N] \
+     \x20      uvllm [--llm-retries N] [--llm-timeout-ms MS] [--llm-breaker-threshold N] \
      [--job-deadline-ms MS] [--inject-panic PAT] [--inject-stall PAT:MS]\n\
-     \x20      campaign --emit-json DIR | --import-json FILE.json\n\
-     \x20      campaign merge [--size N] [--seed HEX] [--methods A,B,..] \
+     \x20      uvllm --emit-json DIR | --import-json FILE.json\n\
+     \x20      uvllm merge [--size N] [--seed HEX] [--methods A,B,..] \
      [--out FILE] SHARD.jsonl..\n\
-     \x20      campaign metrics-check METRICS.json\n\
-     \x20      campaign serve [--addr HOST:PORT] [--addr-file FILE] [--data-dir DIR] \
+     \x20      uvllm metrics-check METRICS.json\n\
+     \x20      uvllm serve [--addr HOST:PORT] [--addr-file FILE] [--data-dir DIR] \
      [--lease-ms MS] [--poll-ms MS] [--fsync always|never|every:N] [--compact-every N] \
      [--crash-after EVENT[:N]]\n\
-     \x20      campaign worker --connect HOST:PORT [--addr-file FILE] [--name NAME] [--workers N] \
+     \x20      uvllm worker --connect HOST:PORT [--addr-file FILE] [--name NAME] [--workers N] \
      [--poll-ms MS] [--idle-exit N] [--once] [--llm-batch N] [--llm-max-wait-ms MS] \
      [--abort-after-rows N]\n\
-     \x20      campaign submit --connect HOST:PORT [--size N] [--seed HEX] [--methods A,B,..] \
+     \x20      uvllm submit --connect HOST:PORT [--size N] [--seed HEX] [--methods A,B,..] \
      [--opt-level 0..3] [--shards N] [--lease-ms MS]\n\
-     \x20      campaign status --connect HOST:PORT RUN [--wait] [--rows-out FILE]\n\
-     \x20      campaign metrics --connect HOST:PORT [--out FILE]\n\
-     \x20      campaign shutdown --connect HOST:PORT | campaign ping --connect HOST:PORT\n\
+     \x20      uvllm status --connect HOST:PORT RUN [--wait] [--rows-out FILE]\n\
+     \x20      uvllm metrics --connect HOST:PORT [--out FILE]\n\
+     \x20      uvllm shutdown --connect HOST:PORT | uvllm ping --connect HOST:PORT\n\
      methods: UVLLM, UVLLM(comp), MEIC, GPT-4-turbo, Strider, RTLrepair";
 
 /// Flags shared by the run and merge forms.
@@ -131,10 +136,7 @@ fn parse_common(
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut config = CampaignConfig {
-        dataset_size: uvllm_bench::harness::dataset_size_from_env(),
-        ..CampaignConfig::default()
-    };
+    let mut config = CampaignConfig::default();
     let mut out = "campaign.jsonl".to_string();
     let mut max_wait: Option<Duration> = None;
     let mut emit_json = None;
@@ -294,8 +296,6 @@ fn parse_args() -> Result<Args, String> {
     if resilience_on {
         config.resilience = Some(resilience);
     }
-    // Invalid UVLLM_WORKERS (workers == 0 defers to the environment)
-    // surfaces as an Err from Campaign::new, already a clean CLI error.
     Ok(Args { config, out, emit_json, import_json })
 }
 
@@ -527,10 +527,7 @@ fn run_metrics_check(paths: Vec<String>) -> Result<(), String> {
 }
 
 fn run_merge(args: Vec<String>) -> Result<(), String> {
-    let mut config = CampaignConfig {
-        dataset_size: uvllm_bench::harness::dataset_size_from_env(),
-        ..CampaignConfig::default()
-    };
+    let mut config = CampaignConfig::default();
     let mut out = String::new();
     let mut shard_paths: Vec<String> = Vec::new();
     let mut args = args.into_iter();
@@ -569,7 +566,7 @@ fn run_merge(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// SIGINT flag for `campaign serve`: the handler only sets this; the
+/// SIGINT flag for `uvllm serve`: the handler only sets this; the
 /// foreground loop notices it and runs the graceful shutdown.
 static SIGINT: AtomicBool = AtomicBool::new(false);
 
@@ -596,7 +593,7 @@ fn parse_ms(name: &str, text: &str) -> Result<u64, String> {
     text.parse().ok().filter(|n| *n > 0).ok_or_else(|| format!("{name} must be a positive number"))
 }
 
-/// `campaign serve`: run the resident service in the foreground until
+/// `uvllm serve`: run the resident service in the foreground until
 /// `POST /shutdown` or SIGINT drains it.
 fn run_serve(args: Vec<String>) -> Result<(), String> {
     let mut config = ServeConfig::default();
@@ -668,7 +665,7 @@ fn run_serve(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `campaign worker --connect`: evaluate leased shards until the server
+/// `uvllm worker --connect`: evaluate leased shards until the server
 /// drains (or the idle budget runs out).
 fn run_remote_worker(args: Vec<String>) -> Result<(), String> {
     let mut options = WorkerOptions::new(String::new());
@@ -750,15 +747,12 @@ fn run_remote_worker(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `campaign submit --connect`: register a run; prints the bare run id
+/// `uvllm submit --connect`: register a run; prints the bare run id
 /// on stdout (everything else goes to stderr) so scripts can capture it
-/// with `RUN=$(campaign submit ...)`.
+/// with `RUN=$(uvllm submit ...)`.
 fn run_submit(args: Vec<String>) -> Result<(), String> {
     let mut server = String::new();
-    let mut config = CampaignConfig {
-        dataset_size: uvllm_bench::harness::dataset_size_from_env(),
-        ..CampaignConfig::default()
-    };
+    let mut config = CampaignConfig::default();
     let mut shards = 1usize;
     let mut lease_ms: Option<u64> = None;
     let mut out = String::new();
@@ -810,7 +804,7 @@ fn run_submit(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `campaign status --connect RUN`: one status snapshot, or `--wait`
+/// `uvllm status --connect RUN`: one status snapshot, or `--wait`
 /// until the run completes; `--rows-out` saves the canonical rows.
 fn run_status(args: Vec<String>) -> Result<(), String> {
     let mut server = String::new();
@@ -887,7 +881,7 @@ fn run_status(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `campaign metrics --connect`: fetch `GET /metrics`, validate it
+/// `uvllm metrics --connect`: fetch `GET /metrics`, validate it
 /// against `uvllm-metrics/v1`, print or save it.
 fn run_remote_metrics(args: Vec<String>) -> Result<(), String> {
     let mut server = String::new();
@@ -923,7 +917,7 @@ fn run_remote_metrics(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `campaign shutdown --connect` / `campaign ping --connect`.
+/// `uvllm shutdown --connect` / `uvllm ping --connect`.
 fn run_remote_simple(verb: &str, args: Vec<String>) -> Result<(), String> {
     let mut server = String::new();
     let mut args = args.into_iter();

@@ -2,7 +2,7 @@
 //! datasets, repairs and evaluation records — the property that makes
 //! every experiment in EXPERIMENTS.md replayable bit-for-bit.
 
-use uvllm_bench::harness::{evaluate_one, MethodKind};
+use uvllm_campaign::{evaluate_one, MethodKind};
 
 #[test]
 fn dataset_builds_identically() {

@@ -6,10 +6,9 @@
 //! granting, and finish with rows byte-identical to a direct engine
 //! run.
 //!
-//! The server runs as a *separate OS process* (the `uvllm-serve`
-//! binary) so the kill is a real process death, not a cooperative
-//! shutdown; workers re-find the restarted server through the shared
-//! `--addr-file`.
+//! The server runs as a *separate OS process* (`uvllm serve`) so the
+//! kill is a real process death, not a cooperative shutdown; workers
+//! re-find the restarted server through the shared `--addr-file`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -50,12 +49,13 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Spawns the standalone `uvllm-serve` binary on an ephemeral port,
-/// publishing its address to `addr_file`.
+/// Spawns `uvllm serve` on an ephemeral port, publishing its address
+/// to `addr_file`.
 fn spawn_server(data_dir: &Path, addr_file: &Path, extra: &[&str]) -> Child {
     // Clear any previous address so `wait_addr` sees the new publish.
     let _ = std::fs::remove_file(addr_file);
-    Command::new(env!("CARGO_BIN_EXE_uvllm-serve"))
+    Command::new(env!("CARGO_BIN_EXE_uvllm"))
+        .arg("serve")
         .arg("--addr")
         .arg("127.0.0.1:0")
         .arg("--addr-file")
