@@ -216,11 +216,10 @@ const OVERLAP_WORKERS: usize = 8;
 const OVERLAP_SIZE: usize = 24;
 
 /// Campaign wall-clock under an injected endpoint round-trip latency:
-/// per-job oracle (one gated round trip per prompt — the exclusive
-/// connection the old `complete(&mut M)` API models) vs. the shared
-/// batched service (one round trip per flush). The gap this measures is
-/// exactly the overlap the submit/await redesign buys, tracked in
-/// `BENCH_kernels.json` as `llm_overlap`.
+/// per-job oracle (one gated round trip per prompt on one exclusive
+/// connection) vs. the shared batched service (one round trip per
+/// flush). The gap this measures is the overlap the batched service
+/// buys, tracked in `BENCH_kernels.json` as `llm_overlap`.
 fn llm_overlap_wall_clock(batched: bool) -> (f64, f64) {
     let config = CampaignConfig {
         dataset_size: OVERLAP_SIZE,

@@ -74,8 +74,7 @@ impl RepairMethod for MeicRepair<'_> {
             let prompt = RepairPrompt::new(AgentRole::WholeCodeReviewer, design.spec, &code)
                 .with_error_info(ErrorInfo::RawLog(tail(&log, 15)))
                 .with_output_mode(OutputMode::Complete);
-            let ticket = self.llm.submit(&prompt);
-            let Ok(completion) = self.llm.await_completion(ticket) else { break };
+            let Ok(completion) = self.llm.complete(&prompt) else { break };
             // MEIC's dual-agent design runs a second, scoring model pass
             // over every candidate (comparable prompt, shorter output);
             // account its latency without disturbing the repair draw.
@@ -134,8 +133,7 @@ impl RepairMethod for GptDirect<'_> {
             iterations += 1;
             let prompt = RepairPrompt::new(AgentRole::WholeCodeReviewer, design.spec, src)
                 .with_output_mode(OutputMode::Complete);
-            let ticket = self.llm.submit(&prompt);
-            let Ok(completion) = self.llm.await_completion(ticket) else { break };
+            let Ok(completion) = self.llm.complete(&prompt) else { break };
             time += completion.latency;
             let Ok(resp) = CompleteResponse::parse(&completion.content) else { continue };
             if resp.code.trim().is_empty() {

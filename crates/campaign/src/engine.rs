@@ -433,7 +433,7 @@ mod tests {
     /// faults injected at double-digit rates, retried by the resilient
     /// service, produces rows byte-identical to the fault-free run.
     /// FaultyLlm fabricates faults without consuming the inner oracle's
-    /// stream, so a retried ticket lands on exactly the completion the
+    /// stream, so a retried call lands on exactly the completion the
     /// fault-free run saw.
     #[test]
     fn faults_plus_retries_reproduce_the_fault_free_rows() {

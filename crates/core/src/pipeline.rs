@@ -122,12 +122,13 @@ pub struct VerifyOutcome {
 ///
 /// The framework *owns* its service handle (generic `S`), which makes a
 /// whole verification run `Send` — the property the campaign engine
-/// relies on to run jobs on worker threads. Every LLM interaction goes
-/// through the submit/await ticket protocol, so the same pipeline runs
-/// unchanged on an in-process [`DirectService`] or on a session of a
-/// shared [`uvllm_llm::BatchedLlm`] (the campaign's batched mode).
+/// relies on to run jobs on worker threads. Every LLM interaction is
+/// one blocking [`LlmService::complete`] call — the loop is sequential,
+/// so a job never has two prompts in flight — and the same pipeline
+/// runs unchanged on an in-process [`DirectService`] or on a session of
+/// a shared [`uvllm_llm::BatchedLlm`] (the campaign's batched mode).
 ///
-/// [`Uvllm::new`] keeps the historical model-owning construction:
+/// [`Uvllm::new`] keeps the model-owning construction:
 /// `Uvllm::new(model, config)` wraps the [`LanguageModel`] in a
 /// [`DirectService`]; borrowing callers keep working via the
 /// `LanguageModel` forwarding impl for `&mut M`.
@@ -142,17 +143,6 @@ impl<M: LanguageModel> Uvllm<DirectService<M>> {
     pub fn new(llm: M, config: VerifyConfig) -> Self {
         Uvllm::with_service(DirectService::new(llm), config)
     }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &M {
-        self.service.model()
-    }
-
-    /// Consumes the framework, returning the model (and its usage
-    /// accounting).
-    pub fn into_model(self) -> M {
-        self.service.into_inner()
-    }
 }
 
 impl<S: LlmService> Uvllm<S> {
@@ -161,11 +151,6 @@ impl<S: LlmService> Uvllm<S> {
     /// session of the shared service.
     pub fn with_service(service: S, config: VerifyConfig) -> Self {
         Uvllm { config, service }
-    }
-
-    /// The wrapped service handle.
-    pub fn service(&self) -> &S {
-        &self.service
     }
 
     /// Consumes the framework, returning the service handle (and its

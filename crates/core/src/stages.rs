@@ -37,9 +37,9 @@ pub struct PreprocessStats {
 /// lint; syntax errors go to the LLM agent, fixable warnings to the
 /// script templates; iterate until clean or `max_iters`.
 ///
-/// The LLM is consumed through the [`LlmService`] submit/await
-/// protocol: on a shared [`uvllm_llm::BatchedLlm`] the await is where
-/// this job's round trip overlaps other workers' simulation time.
+/// Each syntax-error round makes one blocking [`LlmService::complete`]
+/// call: on a shared [`uvllm_llm::BatchedLlm`] that wait is where this
+/// job's round trip overlaps other workers' simulation time.
 pub fn preprocess(
     code: &str,
     spec: &str,
@@ -57,8 +57,7 @@ pub fn preprocess(
             let prompt = RepairPrompt::new(AgentRole::SyntaxFixer, spec, &code)
                 .with_error_info(ErrorInfo::LintLog(log))
                 .with_output_mode(output_mode);
-            let ticket = llm.submit(&prompt);
-            let Ok(completion) = llm.await_completion(ticket) else { break };
+            let Ok(completion) = llm.complete(&prompt) else { break };
             stats.llm_calls += 1;
             stats.llm_time += completion.latency;
             match output_mode {
@@ -232,8 +231,8 @@ pub struct RepairAttempt {
     pub llm_time: Duration,
 }
 
-/// Invokes the repair agent (§III-D) in the given mode, through the
-/// [`LlmService`] submit/await protocol.
+/// Invokes the repair agent (§III-D) in the given mode with one
+/// blocking [`LlmService::complete`] call.
 pub fn repair(
     code: &str,
     spec: &str,
@@ -249,8 +248,7 @@ pub fn repair(
         .with_error_info(error_info)
         .with_damage_repairs(damage_repairs.to_vec())
         .with_output_mode(output_mode);
-    let ticket = llm.submit(&prompt);
-    let Ok(completion) = llm.await_completion(ticket) else {
+    let Ok(completion) = llm.complete(&prompt) else {
         return RepairAttempt {
             code: code.to_string(),
             applied: Vec::new(),

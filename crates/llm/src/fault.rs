@@ -151,11 +151,6 @@ impl<M: LanguageModel> FaultyLlm<M> {
         &self.inner
     }
 
-    /// Consumes the wrapper, returning the model.
-    pub fn into_inner(self) -> M {
-        self.inner
-    }
-
     /// Faults injected so far.
     pub fn injected(&self) -> FaultCounts {
         self.injected
@@ -233,13 +228,6 @@ impl<M: LanguageModel> LanguageModel for FaultyLlm<M> {
                 Ok(self.fabricate(prompt, kind))
             }
         }
-    }
-
-    fn complete_batch(&mut self, prompts: &[RepairPrompt]) -> Vec<Result<Completion, LlmError>> {
-        // Per-prompt injection in submission order: the fault stream
-        // advances identically whether prompts arrive one by one or as
-        // a batch, so batching does not reshuffle fault schedules.
-        prompts.iter().map(|p| self.complete(p)).collect()
     }
 
     fn usage(&self) -> Usage {
@@ -334,20 +322,6 @@ mod tests {
             );
         }
         assert_eq!(faulty.injected(), FaultCounts::default());
-    }
-
-    #[test]
-    fn batch_and_sequential_injection_agree() {
-        let mk =
-            || FaultyLlm::new(ScriptedLlm::new((0..16).map(|i| format!("r{i}"))), plan(0.3, 0.3));
-        let prompts: Vec<RepairPrompt> = (0..16).map(|_| prompt()).collect();
-        let mut seq = mk();
-        let sequential: Vec<Result<Completion, LlmError>> =
-            prompts.iter().map(|p| seq.complete(p)).collect();
-        let mut bat = mk();
-        let batched = bat.complete_batch(&prompts);
-        assert_eq!(sequential, batched);
-        assert_eq!(seq.injected(), bat.injected());
     }
 
     #[test]

@@ -16,12 +16,13 @@
 //!   purely from lint logs (no ground truth).
 //! * [`ScriptedLlm`] — canned responses for deterministic tests.
 //!
-//! The pipeline does not call these backends directly: it drives an
-//! [`LlmService`] handle through the submit/await ticket protocol of
+//! The pipeline does not call these backends directly: it makes one
+//! blocking [`LlmService::complete`] call per prompt on a handle from
 //! [`service`] — either a [`DirectService`] around one model, or an
-//! [`LlmClient`] session of a shared [`BatchedLlm`] that coalesces
-//! prompts from many workers into [`LanguageModel::complete_batch`]
-//! round trips.
+//! [`LlmClient`] session of a shared [`BatchedLlm`] that coalesces the
+//! calls of many workers into one round trip per flush, at most one
+//! prompt per session. [`ResilientService`] wraps either handle in
+//! retries, a circuit breaker and degradation.
 //!
 //! ## Example
 //!
@@ -65,5 +66,5 @@ pub use response::{CompleteResponse, RepairResponse};
 pub use scripted::ScriptedLlm;
 pub use service::{
     endpoint_gate, BatchConfig, BatchedLlm, DirectService, EndpointGate, LlmClient, LlmService,
-    SlowLlm, Ticket, WaitStats,
+    SlowLlm, WaitStats,
 };

@@ -1,32 +1,32 @@
 //! Resilient serving: retry/backoff, circuit breaking and graceful
 //! degradation on top of any [`LlmService`].
 //!
-//! [`ResilientService`] wraps an inner service and re-drives its
-//! submit/await protocol so callers see a *policy* instead of raw
-//! failures:
+//! [`ResilientService`] wraps an inner service in one plain retry loop
+//! around its blocking [`LlmService::complete`], so callers see a
+//! *policy* instead of raw failures:
 //!
 //! * **Retry with exponential backoff + seeded jitter.** Retryable
 //!   failures ([`LlmError::is_retryable`], malformed completions when
-//!   validation is on) are retried up to a per-ticket budget, with
+//!   validation is on) are retried up to a per-call budget, with
 //!   delays of `base · 2^(attempt-1)` capped at `max` and scaled by a
 //!   seeded jitter factor — the jitter *sequence* replays from the
 //!   policy seed, so fault-injection campaigns are reproducible while
 //!   real deployments still avoid thundering-herd synchronization.
-//! * **Per-ticket deadline.** An optional wall-clock budget across all
-//!   of a ticket's attempts: once blown, the layer stops retrying and
+//! * **Per-call deadline.** An optional wall-clock budget across all
+//!   of a call's attempts: once blown, the layer stops retrying and
 //!   degrades (an already-delivered good completion is never discarded
 //!   — paid-for answers are kept, which also keeps deadline-free runs
 //!   deterministic).
 //! * **Circuit breaker.** Closed → Open on a run of consecutive
-//!   failures; Open fast-fails submissions without touching the inner
-//!   service for a *ticket-counted* cooldown (ticket counts, not wall
-//!   clock, so breaker behaviour is identical at any worker count);
-//!   then HalfOpen lets one probe ticket through — success closes the
-//!   breaker, failure re-opens it.
+//!   failures; Open fast-fails attempts without touching the inner
+//!   service for an *attempt-counted* cooldown (attempt counts, not
+//!   wall clock, so breaker behaviour is identical at any worker
+//!   count); then HalfOpen lets one probe attempt through — success
+//!   closes the breaker, failure re-opens it.
 //! * **Graceful degradation.** When the retry budget, deadline or
-//!   breaker exhausts a ticket, the prompt is answered by the
+//!   breaker exhausts a call, the prompt is answered by the
 //!   rule-based [`HeuristicLlm`] fallback instead of erroring the whole
-//!   job; every such ticket is counted in
+//!   job; every such call is counted in
 //!   [`ResilienceStats::degraded`] so campaign rows can be tagged
 //!   honestly rather than passing degraded output off as the primary
 //!   backend's.
@@ -39,7 +39,7 @@
 //!
 //! **Usage accounting:** the wrapper keeps its *own* [`Usage`],
 //! recording only finally-accepted completions. The inner handle's
-//! per-ticket deltas would count fabricated garbage and abandoned
+//! per-call deltas would count fabricated garbage and abandoned
 //! attempts; accepted-only accounting makes a faulted-but-retried run's
 //! numbers equal a fault-free run's, which is what the byte-identity
 //! gate checks.
@@ -48,9 +48,8 @@ use crate::heuristic::HeuristicLlm;
 use crate::model::{Completion, LanguageModel, LlmError, Usage};
 use crate::prompt::RepairPrompt;
 use crate::response::{CompleteResponse, RepairResponse};
-use crate::service::{LlmService, Ticket, WaitStats};
+use crate::service::{LlmService, WaitStats};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use uvllm_obs::{registry, Counter, Histogram};
@@ -64,9 +63,9 @@ struct ResilienceMetrics {
     retry_delay_us: &'static Histogram,
     /// Circuit-breaker state changes (any direction).
     breaker_transitions: &'static Counter,
-    /// Tickets answered by the degradation fallback.
+    /// Calls answered by the degradation fallback.
     degraded: &'static Counter,
-    /// Tickets that blew their wall-clock deadline.
+    /// Calls that blew their wall-clock deadline.
     deadline_misses: &'static Counter,
 }
 
@@ -84,7 +83,7 @@ fn metrics() -> &'static ResilienceMetrics {
 /// Knobs of a [`ResilientService`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResiliencePolicy {
-    /// Retry attempts per ticket beyond the first (0 disables retry).
+    /// Retry attempts per call beyond the first (0 disables retry).
     pub retries: u32,
     /// First retry's backoff; attempt `n` waits `base · 2^(n-1)`.
     pub base_backoff: Duration,
@@ -93,20 +92,20 @@ pub struct ResiliencePolicy {
     /// Seed of the jitter stream (campaigns derive a per-job seed so
     /// every job's delays replay independently of worker count).
     pub jitter_seed: u64,
-    /// Optional wall-clock budget per ticket across all attempts; blown
+    /// Optional wall-clock budget per call across all attempts; blown
     /// budgets stop retrying and degrade. `None` (the default) keeps
     /// retry decisions free of wall-clock and therefore deterministic.
     pub ticket_deadline: Option<Duration>,
     /// Consecutive failures that trip the breaker Closed → Open.
     pub breaker_threshold: u32,
-    /// Submissions fast-failed while Open before probing (HalfOpen).
+    /// Attempts fast-failed while Open before probing (HalfOpen).
     pub breaker_cooldown: u32,
     /// Treat completions that parse as neither [`RepairResponse`] nor
     /// [`CompleteResponse`] as retryable failures. On for campaign
     /// wiring (every genuine backend emits structured output); off by
     /// default so plain-text services are not penalized.
     pub validate: bool,
-    /// Route exhausted tickets to the [`HeuristicLlm`] fallback instead
+    /// Route exhausted calls to the [`HeuristicLlm`] fallback instead
     /// of surfacing the final failure.
     pub degrade: bool,
 }
@@ -148,11 +147,11 @@ pub struct ResilienceStats {
     /// Retryable failures observed (injected errors, malformed
     /// completions, breaker fast-fails).
     pub faults_seen: u64,
-    /// Tickets answered by the degradation fallback.
+    /// Calls answered by the degradation fallback.
     pub degraded: u64,
     /// Breaker state transitions.
     pub breaker_transitions: u64,
-    /// Tickets that blew their wall-clock deadline.
+    /// Calls that blew their wall-clock deadline.
     pub deadline_misses: u64,
 }
 
@@ -192,7 +191,7 @@ impl Breaker {
         }
     }
 
-    /// Consulted per submission: `true` lets the attempt through to the
+    /// Consulted per attempt: `true` lets the attempt through to the
     /// inner service (Closed, or the HalfOpen probe); `false` fast-fails
     /// it and ticks the Open cooldown.
     fn admit(&mut self) -> bool {
@@ -234,15 +233,6 @@ impl Breaker {
     }
 }
 
-/// One submitted-but-unredeemed prompt.
-struct PendingTicket {
-    prompt: RepairPrompt,
-    /// The inner service's ticket for the eager first attempt; `None`
-    /// when the breaker fast-failed the submission.
-    inner_ticket: Option<Ticket>,
-    submitted: Instant,
-}
-
 /// The resilience wrapper (module docs).
 pub struct ResilientService<S: LlmService> {
     inner: S,
@@ -250,8 +240,6 @@ pub struct ResilientService<S: LlmService> {
     fallback: HeuristicLlm,
     jitter: StdRng,
     breaker: Breaker,
-    pending: HashMap<u64, PendingTicket>,
-    next_ticket: u64,
     usage: Usage,
     stats: ResilienceStats,
 }
@@ -259,7 +247,6 @@ pub struct ResilientService<S: LlmService> {
 impl<S: LlmService> std::fmt::Debug for ResilientService<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResilientService")
-            .field("backend", &self.inner.backend_name())
             .field("policy", &self.policy)
             .field("breaker", &self.breaker.state)
             .finish()
@@ -277,8 +264,6 @@ impl<S: LlmService> ResilientService<S> {
             fallback: HeuristicLlm::new(),
             jitter,
             breaker,
-            pending: HashMap::new(),
-            next_ticket: 0,
             usage: Usage::default(),
             stats: ResilienceStats::default(),
         }
@@ -287,25 +272,6 @@ impl<S: LlmService> ResilientService<S> {
     /// The wrapped service.
     pub fn inner(&self) -> &S {
         &self.inner
-    }
-
-    /// Consumes the wrapper, returning the inner service.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// True once any ticket was answered by the degradation fallback.
-    pub fn degraded(&self) -> bool {
-        self.stats.degraded > 0
-    }
-
-    /// Submits through the breaker: `None` means fast-failed.
-    fn guarded_submit(&mut self, prompt: &RepairPrompt) -> Option<Ticket> {
-        if self.breaker.admit() {
-            Some(self.inner.submit(prompt))
-        } else {
-            None
-        }
     }
 
     /// A completion is acceptable when validation is off or it parses
@@ -327,14 +293,14 @@ impl<S: LlmService> ResilientService<S> {
         capped.mul_f64(factor)
     }
 
-    /// Answers an exhausted ticket via the fallback chain.
-    fn degrade(&mut self, pending: &PendingTicket, last: LlmError) -> Result<Completion, LlmError> {
+    /// Answers an exhausted call via the fallback chain.
+    fn degrade(&mut self, prompt: &RepairPrompt, last: LlmError) -> Result<Completion, LlmError> {
         if !self.policy.degrade {
             return Err(last);
         }
         self.stats.degraded += 1;
         metrics().degraded.inc();
-        match self.fallback.complete(&pending.prompt) {
+        match self.fallback.complete(prompt) {
             Ok(completion) => {
                 self.usage.record(&completion);
                 Ok(completion)
@@ -348,39 +314,19 @@ impl<S: LlmService> ResilientService<S> {
 }
 
 impl<S: LlmService> LlmService for ResilientService<S> {
-    fn backend_name(&self) -> &str {
-        self.inner.backend_name()
-    }
-
-    fn submit(&mut self, prompt: &RepairPrompt) -> Ticket {
-        let ticket = Ticket::new(self.next_ticket);
-        self.next_ticket += 1;
-        // Eager first attempt: submitting to the inner service right
-        // away preserves whatever pipelining/batching it does; retries
-        // (synchronous submit+await rounds) only begin once the caller
-        // blocks on redemption.
-        let inner_ticket = self.guarded_submit(prompt);
-        self.pending.insert(
-            ticket.id(),
-            PendingTicket { prompt: prompt.clone(), inner_ticket, submitted: Instant::now() },
-        );
-        ticket
-    }
-
-    fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError> {
-        let mut pending = self.pending.remove(&ticket.id()).ok_or_else(|| {
-            LlmError::NoResponse(format!("ticket #{} was never issued by this handle", ticket.id()))
-        })?;
+    fn complete(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError> {
+        let started = Instant::now();
         let mut attempt = 0u32;
         loop {
             // A fast-failed attempt (breaker open) says nothing about
             // the backend's health, so it must not feed the breaker —
-            // otherwise the rejected ticket that ticked Open → HalfOpen
+            // otherwise the rejected attempt that ticked Open → HalfOpen
             // would itself count as a failed probe and re-open it.
-            let was_real_attempt = pending.inner_ticket.is_some();
-            let outcome = match pending.inner_ticket.take() {
-                Some(inner_ticket) => self.inner.await_completion(inner_ticket),
-                None => Err(LlmError::Transient("circuit breaker open".to_string())),
+            let admitted = self.breaker.admit();
+            let outcome = if admitted {
+                self.inner.complete(prompt)
+            } else {
+                Err(LlmError::Transient("circuit breaker open".to_string()))
             };
             let failure = match outcome {
                 Ok(completion) if self.acceptable(&completion) => {
@@ -399,23 +345,22 @@ impl<S: LlmService> LlmService for ResilientService<S> {
                 Err(err) if !err.is_retryable() => return Err(err),
                 Err(err) => err,
             };
-            if was_real_attempt {
+            if admitted {
                 self.breaker.on_failure();
             }
             self.stats.faults_seen += 1;
             self.stats.breaker_transitions = self.breaker.transitions;
             if attempt >= self.policy.retries {
-                return self.degrade(&pending, failure);
+                return self.degrade(prompt, failure);
             }
             if let Some(deadline) = self.policy.ticket_deadline {
-                if pending.submitted.elapsed() >= deadline {
+                if started.elapsed() >= deadline {
                     self.stats.deadline_misses += 1;
                     metrics().deadline_misses.inc();
                     let miss = LlmError::DeadlineExceeded(format!(
-                        "ticket #{} exceeded its {deadline:?} budget after {attempt} retries",
-                        ticket.id()
+                        "call exceeded its {deadline:?} budget after {attempt} retries"
                     ));
-                    return self.degrade(&pending, miss);
+                    return self.degrade(prompt, miss);
                 }
             }
             attempt += 1;
@@ -426,7 +371,6 @@ impl<S: LlmService> LlmService for ResilientService<S> {
             if !delay.is_zero() {
                 std::thread::sleep(delay);
             }
-            pending.inner_ticket = self.guarded_submit(&pending.prompt);
         }
     }
 
@@ -545,7 +489,7 @@ mod tests {
         assert_eq!(delivered, expected);
         assert_eq!(resilient.usage(), baseline.usage());
         let stats = resilient.resilience_stats();
-        assert!(stats.retries > 0, "0.4 error rate over 16 tickets must retry");
+        assert!(stats.retries > 0, "0.4 error rate over 16 calls must retry");
         assert_eq!(stats.degraded, 0);
     }
 
@@ -588,7 +532,7 @@ mod tests {
             ResiliencePolicy { retries: 2, breaker_threshold: 100, ..fast_policy() },
         );
         // The heuristic fallback has no lint log to work from, so the
-        // degraded answer is its semantic NoResponse — but the ticket is
+        // degraded answer is its semantic NoResponse — but the call is
         // still tagged degraded, which is what row honesty rests on.
         let result = resilient.complete(&prompt());
         assert!(matches!(result, Err(LlmError::NoResponse(_))), "got {result:?}");
@@ -596,7 +540,6 @@ mod tests {
         assert_eq!(stats.degraded, 1);
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.faults_seen, 3, "initial attempt + 2 retries all failed");
-        assert!(resilient.degraded());
     }
 
     #[test]
@@ -638,7 +581,7 @@ mod tests {
         let tripped = resilient.inner().model().injected().errors;
         assert_eq!(tripped, 3, "three real attempts tripped the breaker");
         assert!(resilient.resilience_stats().breaker_transitions >= 1);
-        // While Open, submissions fast-fail: the inner model sees nothing.
+        // While Open, calls fast-fail: the inner model sees nothing.
         for _ in 0..3 {
             assert!(resilient.complete(&prompt()).is_err());
         }
@@ -663,11 +606,11 @@ mod tests {
         for _ in 0..3 {
             assert!(resilient.complete(&prompt()).is_err());
         }
-        // Two fast-failed tickets tick the cooldown to the probe.
+        // Two fast-failed calls tick the cooldown to the probe.
         assert!(resilient.complete(&prompt()).is_err());
         assert!(resilient.complete(&prompt()).is_err());
-        // Probe ticket reaches the (now healthy) backend and closes the
-        // breaker; subsequent tickets flow normally.
+        // The probe reaches the (now healthy) backend and closes the
+        // breaker; subsequent calls flow normally.
         assert_eq!(resilient.complete(&prompt()).unwrap().content, "ok4");
         assert_eq!(resilient.complete(&prompt()).unwrap().content, "ok5");
         let stats = resilient.resilience_stats();

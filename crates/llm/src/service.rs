@@ -1,51 +1,46 @@
-//! The LLM *service* layer: a submit/await ticket protocol that
-//! decouples asking for a completion from blocking on it.
+//! The LLM *service* layer: the one blocking call every pipeline stage
+//! makes, [`LlmService::complete`], and the two deployment shapes that
+//! answer it.
 //!
-//! The repair pipeline historically called `complete(&mut M, prompt)`
-//! directly — a blocking, exclusive, one-prompt-at-a-time coupling that
-//! forces every campaign worker to stall on the model while its
-//! simulator sits idle. This module replaces that call with a protocol:
-//!
-//! 1. [`LlmService::submit`] hands the service a [`RepairPrompt`] and
-//!    returns a [`Ticket`] immediately;
-//! 2. [`LlmService::await_completion`] redeems the ticket, blocking
-//!    only until *that* prompt's answer is ready.
-//!
-//! Two implementations cover the two deployment shapes:
+//! The paper's repair loop is sequential within a job: pre-processing,
+//! MS mode and SL mode each send one prompt, wait for it, and
+//! re-simulate the answer before they build the next prompt. So a job
+//! never has two prompts in flight, and the service hands its caller
+//! one answer per call.
 //!
 //! * [`DirectService`] — the in-process adapter: wraps one
-//!   [`LanguageModel`] and answers at submit time. Zero concurrency,
-//!   zero overhead; behaviourally identical to the old direct call.
+//!   [`LanguageModel`] and answers on the calling thread. Zero
+//!   concurrency, zero overhead.
 //! * [`BatchedLlm`] — a shared service owning the backend(s) on a
 //!   dedicated thread. Callers register *sessions* (one per campaign
 //!   job, carrying that job's own model so oracle determinism is
-//!   untouched) and obtain [`LlmClient`] handles; submissions from all
-//!   workers land in one bounded queue, are coalesced into batches by
-//!   the [`BatchConfig`] flush policy (`max_batch` reached, or
-//!   `max_wait` elapsed since the first pending prompt), fanned to the
-//!   session models via [`LanguageModel::complete_batch`], and the
-//!   blocked jobs are woken as each flush completes — so one worker's
-//!   LLM round trip overlaps every other worker's simulation time.
+//!   untouched) and obtain [`LlmClient`] handles. Each call lands in
+//!   one bounded queue; the [`BatchConfig`] flush policy coalesces the
+//!   calls of many workers (`max_batch` reached, or `max_wait` elapsed
+//!   since the first pending prompt), pays one injected round trip for
+//!   the whole flush, and answers each prompt from its session's model
+//!   — so one worker's LLM round trip overlaps every other worker's
+//!   simulation time. A flush holds at most one prompt per session.
 //!
 //! **Determinism contract:** a session's model sees exactly the prompts
-//! submitted through that session, in submission order, no matter how
-//! flushes interleave sessions. A campaign job therefore produces the
-//! same completions (and the same usage accounting) through a
-//! [`BatchedLlm`] session as through a [`DirectService`] — batch
-//! schedule and worker count change wall-clock only.
+//! sent through that session, in call order, no matter how flushes
+//! interleave sessions. A campaign job therefore produces the same
+//! completions (and the same usage accounting) through a [`BatchedLlm`]
+//! session as through a [`DirectService`] — batch schedule and worker
+//! count change wall-clock only.
 //!
-//! [`SlowLlm`] models the remote endpoint this layer is built for: a
-//! fixed per-round-trip latency on an exclusive connection
-//! ([`EndpointGate`]). One `complete` pays one round trip; one
-//! `complete_batch` pays one round trip for the whole batch — which is
-//! exactly the amortization the batched service exists to exploit
-//! (`BatchConfig::round_trip` injects the same cost per flush).
+//! [`SlowLlm`] models the remote endpoint in direct mode: a fixed
+//! per-round-trip latency on an exclusive connection ([`EndpointGate`]),
+//! paid once per prompt. Batched mode pays the same cost once per
+//! flush instead (`BatchConfig::round_trip`), which is the
+//! amortization the batched service exists to exploit.
 
 use crate::model::{Completion, LanguageModel, LlmError, Usage};
 use crate::prompt::RepairPrompt;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use uvllm_obs::{registry, Counter, Gauge, Histogram};
 
@@ -55,11 +50,13 @@ use uvllm_obs::{registry, Counter, Gauge, Histogram};
 /// service-wide aggregates campaigns snapshot.
 #[derive(Debug)]
 struct LlmMetrics {
-    /// Prompts submitted but not yet pulled into a flush window.
+    /// Prompts sent to a batched service but not yet pulled into a
+    /// flush window.
     queue_depth: &'static Gauge,
-    /// Tickets redeemed across all handles.
+    /// Calls answered through batched-session handles.
     tickets: &'static Counter,
-    /// Submission-to-delivery wall time per ticket, in microseconds.
+    /// Send-to-delivery wall time per batched-session call, in
+    /// microseconds.
     ticket_wait_us: &'static Histogram,
     /// Prompts per flush.
     batch_size: &'static Histogram,
@@ -107,7 +104,7 @@ pub struct BatchConfig {
     /// Flush a partial batch this long after its first prompt arrived,
     /// so a lone straggler is never parked behind an empty queue.
     pub max_wait: Duration,
-    /// Capacity of the bounded submission queue; `submit` blocks while
+    /// Capacity of the bounded request queue; `complete` blocks while
     /// it is full (backpressure instead of unbounded buffering).
     pub queue_cap: usize,
     /// Injected endpoint round-trip latency paid once per flush —
@@ -127,82 +124,34 @@ impl Default for BatchConfig {
     }
 }
 
-/// A claim on one submitted prompt, redeemed by
-/// [`LlmService::await_completion`]. Tickets are per-handle: a ticket
-/// from one client cannot be redeemed through another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ticket(u64);
-
-impl Ticket {
-    /// Mints a ticket — for service implementors in this crate only
-    /// (callers obtain tickets from [`LlmService::submit`]).
-    pub(crate) fn new(id: u64) -> Ticket {
-        Ticket(id)
-    }
-
-    /// The handle-local ticket id.
-    pub(crate) fn id(self) -> u64 {
-        self.0
-    }
-}
-
-/// Service-side accounting a handle accumulates ticket by ticket:
-/// how long its caller spent blocked on the LLM and how large the
-/// batches its prompts rode in were.
+/// Service-side accounting a handle accumulates call by call: how long
+/// its caller spent blocked on the LLM and how large the batches its
+/// prompts rode in were.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaitStats {
-    /// Tickets redeemed.
-    pub tickets: u64,
-    /// Total wall-clock time from submission to delivery.
+    /// Calls answered (errors included).
+    pub calls: u64,
+    /// Total wall-clock time the caller spent blocked.
     pub wait: Duration,
     /// Largest flush any of this handle's prompts was part of.
     pub max_batch: usize,
 }
 
-impl WaitStats {
-    /// Total wait in whole milliseconds.
-    pub fn wait_ms(&self) -> u64 {
-        self.wait.as_millis() as u64
-    }
-}
-
-/// The submission protocol every pipeline stage drives — the successor
-/// of passing `&mut M` around.
-///
-/// `submit` is infallible by design: acceptance problems (a stopped
-/// service, a model with no answer) surface when the ticket is
-/// redeemed, so callers have one error path instead of two.
+/// The LLM call every pipeline stage makes — the successor of passing
+/// `&mut M` around.
 pub trait LlmService: Send {
-    /// Human-readable backend name (shows up in experiment reports).
-    fn backend_name(&self) -> &str;
-
-    /// Enqueues a prompt, returning the ticket that redeems its answer.
-    fn submit(&mut self, prompt: &RepairPrompt) -> Ticket;
-
-    /// Blocks until the ticket's prompt is answered.
+    /// Sends one prompt and blocks until it is answered.
     ///
     /// # Errors
     ///
-    /// The backend's own [`LlmError`] for this prompt,
-    /// [`LlmError::ServiceClosed`] when the service shut down before
-    /// answering, or [`LlmError::NoResponse`] for a ticket this handle
-    /// never issued (or already redeemed).
-    fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError>;
-
-    /// Submit-then-await in one call — the drop-in replacement for the
-    /// old `LanguageModel::complete` call sites.
-    ///
-    /// # Errors
-    ///
-    /// See [`LlmService::await_completion`].
-    fn complete(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError> {
-        let ticket = self.submit(prompt);
-        self.await_completion(ticket)
-    }
+    /// The backend's own [`LlmError`] for this prompt, or
+    /// [`LlmError::ServiceClosed`] when the service stopped (or its
+    /// thread died) before answering.
+    fn complete(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError>;
 
     /// Usage attributed to this handle (for a [`DirectService`], the
     /// wrapped model's total; for an [`LlmClient`], the sum of its own
-    /// redeemed tickets — the per-ticket deltas that keep per-job
+    /// delivered completions — the per-call deltas that keep per-job
     /// accounting exact on a shared service).
     fn usage(&self) -> Usage;
 
@@ -222,16 +171,8 @@ pub trait LlmService: Send {
 // mutable borrows and boxed trait objects alike.
 
 impl<S: LlmService + ?Sized> LlmService for &mut S {
-    fn backend_name(&self) -> &str {
-        (**self).backend_name()
-    }
-
-    fn submit(&mut self, prompt: &RepairPrompt) -> Ticket {
-        (**self).submit(prompt)
-    }
-
-    fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError> {
-        (**self).await_completion(ticket)
+    fn complete(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError> {
+        (**self).complete(prompt)
     }
 
     fn usage(&self) -> Usage {
@@ -248,16 +189,8 @@ impl<S: LlmService + ?Sized> LlmService for &mut S {
 }
 
 impl<S: LlmService + ?Sized> LlmService for Box<S> {
-    fn backend_name(&self) -> &str {
-        (**self).backend_name()
-    }
-
-    fn submit(&mut self, prompt: &RepairPrompt) -> Ticket {
-        (**self).submit(prompt)
-    }
-
-    fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError> {
-        (**self).await_completion(ticket)
+    fn complete(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError> {
+        (**self).complete(prompt)
     }
 
     fn usage(&self) -> Usage {
@@ -277,60 +210,37 @@ impl<S: LlmService + ?Sized> LlmService for Box<S> {
 // DirectService: the unbatched in-process adapter
 // ----------------------------------------------------------------------
 
-/// Adapts one [`LanguageModel`] to the [`LlmService`] protocol with no
-/// threads and no queue: the answer is computed at submit time and the
-/// ticket redeems it. Batch size is always 1 and wait time always ~0 —
-/// the baseline the batched service is measured against.
+/// Adapts one [`LanguageModel`] to [`LlmService`] with no threads and
+/// no queue: the model answers on the calling thread. Batch size is
+/// always 1 — the baseline the batched service is measured against.
 #[derive(Debug)]
 pub struct DirectService<M: LanguageModel> {
     model: M,
-    next_ticket: u64,
-    ready: HashMap<u64, Result<Completion, LlmError>>,
     stats: WaitStats,
 }
 
 impl<M: LanguageModel> DirectService<M> {
     /// Wraps a model backend.
     pub fn new(model: M) -> Self {
-        DirectService { model, next_ticket: 0, ready: HashMap::new(), stats: WaitStats::default() }
+        DirectService { model, stats: WaitStats::default() }
     }
 
     /// The wrapped model.
     pub fn model(&self) -> &M {
         &self.model
     }
-
-    /// Consumes the adapter, returning the model (and its usage
-    /// accounting).
-    pub fn into_inner(self) -> M {
-        self.model
-    }
 }
 
 impl<M: LanguageModel> LlmService for DirectService<M> {
-    fn backend_name(&self) -> &str {
-        self.model.name()
-    }
-
-    fn submit(&mut self, prompt: &RepairPrompt) -> Ticket {
-        let ticket = Ticket(self.next_ticket);
-        self.next_ticket += 1;
-        // The caller blocks right here while the model answers (that is
-        // what "direct" means), so the elapsed time is this ticket's
-        // wait — e.g. a SlowLlm endpoint round trip shows up in
-        // telemetry exactly like a batched ticket's queue time.
+    fn complete(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError> {
+        // The caller blocks while the model answers (that is what
+        // "direct" means), so the elapsed time is this call's wait —
+        // e.g. a SlowLlm endpoint round trip shows up in telemetry
+        // exactly like a batched call's queue time.
         let asked = Instant::now();
         let result = self.model.complete(prompt);
         self.stats.wait += asked.elapsed();
-        self.ready.insert(ticket.0, result);
-        ticket
-    }
-
-    fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError> {
-        let result = self.ready.remove(&ticket.0).ok_or_else(|| {
-            LlmError::NoResponse(format!("ticket #{} was never issued by this handle", ticket.0))
-        })?;
-        self.stats.tickets += 1;
+        self.stats.calls += 1;
         self.stats.max_batch = self.stats.max_batch.max(1);
         result
     }
@@ -345,185 +255,40 @@ impl<M: LanguageModel> LlmService for DirectService<M> {
 }
 
 // ----------------------------------------------------------------------
-// A bounded MPSC channel (std-only; Mutex + two Condvars)
-// ----------------------------------------------------------------------
-
-struct ChanState<T> {
-    queue: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded blocking queue: `send` applies backpressure when full,
-/// `recv` drains remaining items after close (which is what gives the
-/// service its drain-on-shutdown guarantee).
-struct Chan<T> {
-    state: Mutex<ChanState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    cap: usize,
-}
-
-enum Recv<T> {
-    Item(T),
-    Timeout,
-    Closed,
-}
-
-impl<T> Chan<T> {
-    fn new(cap: usize) -> Self {
-        Chan {
-            state: Mutex::new(ChanState { queue: VecDeque::new(), closed: false }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Blocks while the queue is full; returns the item back when the
-    /// channel is closed.
-    fn send(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("llm service queue poisoned");
-        loop {
-            if state.closed {
-                return Err(item);
-            }
-            if state.queue.len() < self.cap {
-                state.queue.push_back(item);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            state = self.not_full.wait(state).expect("llm service queue poisoned");
-        }
-    }
-
-    /// Blocks for the next item; `None` once closed *and* drained.
-    fn recv(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("llm service queue poisoned");
-        loop {
-            if let Some(item) = state.queue.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("llm service queue poisoned");
-        }
-    }
-
-    /// [`Chan::recv`] bounded by a timeout.
-    fn recv_timeout(&self, timeout: Duration) -> Recv<T> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock().expect("llm service queue poisoned");
-        loop {
-            if let Some(item) = state.queue.pop_front() {
-                self.not_full.notify_one();
-                return Recv::Item(item);
-            }
-            if state.closed {
-                return Recv::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Recv::Timeout;
-            }
-            let (guard, _) = self
-                .not_empty
-                .wait_timeout(state, deadline - now)
-                .expect("llm service queue poisoned");
-            state = guard;
-        }
-    }
-
-    fn close(&self) {
-        let mut state = self.state.lock().expect("llm service queue poisoned");
-        state.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    fn is_closed(&self) -> bool {
-        self.state.lock().expect("llm service queue poisoned").closed
-    }
-}
-
-// ----------------------------------------------------------------------
 // BatchedLlm: the shared batching service
 // ----------------------------------------------------------------------
 
-/// What the service thread delivers into a ticket's slot.
+/// What the service thread sends back on a request's reply channel.
 struct Delivery {
     result: Result<Completion, LlmError>,
     /// Size of the flush this prompt was answered in.
     batch_size: usize,
 }
 
-/// One submitted prompt's rendezvous point between the blocked caller
-/// and the service thread.
-struct Slot {
-    delivery: Mutex<Option<Delivery>>,
-    ready: Condvar,
+/// One unit of the `llm.queue_depth` gauge. It is raised before the
+/// request is enqueued and lowered when the request leaves the queue:
+/// on receipt by the service thread, on a failed send, or when a
+/// stopped service discards it. So the gauge never reads below zero
+/// and never stays raised for a request nobody will answer.
+struct Queued;
+
+impl Queued {
+    fn enter() -> Queued {
+        metrics().queue_depth.inc();
+        Queued
+    }
 }
 
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot { delivery: Mutex::new(None), ready: Condvar::new() })
-    }
-
-    fn deliver(&self, result: Result<Completion, LlmError>, batch_size: usize) {
-        let mut guard = self.delivery.lock().expect("llm ticket slot poisoned");
-        *guard = Some(Delivery { result, batch_size });
-        self.ready.notify_all();
-    }
-
-    /// Blocks until delivered. A slow flush (a long endpoint round
-    /// trip) is *not* an error, however long it takes — the wait only
-    /// gives up once `service_gone` reports the queue closed (shutdown
-    /// or a panicked service thread) and a grace window for the
-    /// shutdown drain has passed without a delivery.
-    fn wait(&self, service_gone: &dyn Fn() -> bool) -> Delivery {
-        let mut guard = self.delivery.lock().expect("llm ticket slot poisoned");
-        let mut grace_passes = 0u32;
-        loop {
-            if let Some(delivery) = guard.take() {
-                return delivery;
-            }
-            if service_gone() {
-                // Closed queue: the drain (or the panic closer) is the
-                // last writer that could still fill this slot. Give it
-                // a bounded grace window, then report the loss.
-                grace_passes += 1;
-                if grace_passes > 50 {
-                    return Delivery {
-                        result: Err(LlmError::ServiceClosed(
-                            "ticket was never answered (service shut down)".to_string(),
-                        )),
-                        batch_size: 0,
-                    };
-                }
-                let (next, _) = self
-                    .ready
-                    .wait_timeout(guard, Duration::from_millis(100))
-                    .expect("llm ticket slot poisoned");
-                guard = next;
-            } else {
-                // Service alive: block until woken (re-polling liveness
-                // once a second so a panic that closed the queue is
-                // noticed even without a notification).
-                let (next, _) = self
-                    .ready
-                    .wait_timeout(guard, Duration::from_secs(1))
-                    .expect("llm ticket slot poisoned");
-                guard = next;
-            }
-        }
+impl Drop for Queued {
+    fn drop(&mut self) {
+        metrics().queue_depth.dec();
     }
 }
 
 struct PendingRequest {
     session: u64,
     prompt: RepairPrompt,
-    slot: Arc<Slot>,
+    reply: Sender<Delivery>,
 }
 
 enum Msg<M> {
@@ -536,24 +301,26 @@ enum Msg<M> {
     Close {
         session: u64,
     },
-    Request(PendingRequest),
+    Request(PendingRequest, Queued),
+    /// Answer everything received so far, then hand the models back.
+    Shutdown,
 }
 
 /// The shared batched LLM service (see module docs).
 ///
-/// Dropping the service closes the queue, drains every already-accepted
-/// submission, and joins the thread; [`BatchedLlm::stop`] does the same
-/// but hands the session models back (tests use this to audit usage).
+/// Dropping the service answers every request already queued and joins
+/// the thread; [`BatchedLlm::stop`] does the same but hands the session
+/// models back (tests use this to audit usage). Requests sent after the
+/// shutdown fail with [`LlmError::ServiceClosed`].
 pub struct BatchedLlm<M: LanguageModel + 'static> {
-    chan: Arc<Chan<Msg<M>>>,
-    thread: Mutex<Option<std::thread::JoinHandle<HashMap<u64, M>>>>,
+    tx: SyncSender<Msg<M>>,
+    thread: Option<std::thread::JoinHandle<HashMap<u64, M>>>,
     next_session: AtomicU64,
-    config: BatchConfig,
 }
 
 impl<M: LanguageModel + 'static> std::fmt::Debug for BatchedLlm<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchedLlm").field("config", &self.config).finish()
+        f.debug_struct("BatchedLlm").field("sessions", &self.next_session).finish()
     }
 }
 
@@ -565,137 +332,97 @@ impl<M: LanguageModel + 'static> BatchedLlm<M> {
             queue_cap: config.queue_cap.max(1),
             ..config
         };
-        let chan = Arc::new(Chan::new(config.queue_cap));
-        let worker_chan = Arc::clone(&chan);
-        let worker_config = config.clone();
+        let (tx, rx) = mpsc::sync_channel(config.queue_cap);
         let thread = std::thread::Builder::new()
             .name("uvllm-llm-service".to_string())
-            .spawn(move || service_loop(worker_chan, worker_config))
+            .spawn(move || service_loop(rx, config))
             .expect("spawn llm service thread");
-        BatchedLlm {
-            chan,
-            thread: Mutex::new(Some(thread)),
-            next_session: AtomicU64::new(0),
-            config,
-        }
-    }
-
-    /// The (normalized) flush policy in force.
-    pub fn config(&self) -> &BatchConfig {
-        &self.config
-    }
-
-    /// Sessions opened on this service so far. A resident worker holds
-    /// one service across many leased shards (`Campaign::run_shared`),
-    /// so this is its cumulative served-jobs gauge.
-    pub fn sessions_opened(&self) -> u64 {
-        self.next_session.load(Ordering::SeqCst)
+        BatchedLlm { tx, thread: Some(thread), next_session: AtomicU64::new(0) }
     }
 
     /// Opens a session owning `model` and returns its client handle.
     ///
     /// Each campaign job opens a session with its own (seeded) model, so
-    /// batching never mixes RNG streams across jobs; a deployment with
-    /// one real endpoint opens a single session and hands out clones of
-    /// the handle's accounting via per-ticket deltas.
+    /// batching never mixes RNG streams across jobs.
     pub fn client(&self, model: M) -> LlmClient<M> {
         let session = self.next_session.fetch_add(1, Ordering::SeqCst);
         uvllm_obs::registry().counter("llm.sessions").inc();
-        let name = model.name().to_string();
-        // A closed service rejects the registration; the client's
-        // submissions then poison their own tickets, so the error
-        // surfaces at await time like every other service failure.
-        let _ = self.chan.send(Msg::Open { session, model });
+        // A stopped service rejects the registration; the client's calls
+        // then fail with `ServiceClosed` like every other service loss.
+        let _ = self.tx.send(Msg::Open { session, model });
         LlmClient {
-            chan: Arc::clone(&self.chan),
+            tx: self.tx.clone(),
             session,
-            name,
-            next_ticket: 0,
-            outstanding: HashMap::new(),
             usage: Usage::default(),
             stats: WaitStats::default(),
         }
     }
 
-    /// Shuts the service down: closes the queue, drains and answers
-    /// every accepted submission, joins the thread, and returns the
-    /// session models (in session-open order) for auditing.
-    pub fn stop(self) -> Vec<M> {
-        self.chan.close();
-        let handle = self.thread.lock().expect("llm service handle poisoned").take();
-        let sessions = match handle {
-            Some(h) => h.join().unwrap_or_default(),
-            None => HashMap::new(),
-        };
-        let mut models: Vec<(u64, M)> = sessions.into_iter().collect();
+    /// Shuts the service down: answers every request already queued,
+    /// joins the thread, and returns the session models (in
+    /// session-open order) for auditing.
+    pub fn stop(mut self) -> Vec<M> {
+        let mut models: Vec<(u64, M)> = self.shutdown().into_iter().collect();
         models.sort_by_key(|(session, _)| *session);
         models.into_iter().map(|(_, model)| model).collect()
+    }
+
+    fn shutdown(&mut self) -> HashMap<u64, M> {
+        let Some(thread) = self.thread.take() else { return HashMap::new() };
+        // Fails only when the thread already died; the join says so.
+        let _ = self.tx.send(Msg::Shutdown);
+        thread.join().unwrap_or_default()
     }
 }
 
 impl<M: LanguageModel + 'static> Drop for BatchedLlm<M> {
     fn drop(&mut self) {
-        self.chan.close();
-        if let Some(handle) = self.thread.lock().expect("llm service handle poisoned").take() {
-            let _ = handle.join();
-        }
+        self.shutdown();
     }
 }
 
-/// The dedicated service thread: accumulate → flush, forever.
-/// Closes the queue if the service thread unwinds, so blocked callers
-/// observe "service gone" (and error out after the grace window)
-/// instead of waiting on slots a dead thread will never fill.
-struct PanicCloser<'c, T>(&'c Chan<T>);
-
-impl<T> Drop for PanicCloser<'_, T> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.close();
-        }
-    }
-}
-
-fn service_loop<M: LanguageModel>(chan: Arc<Chan<Msg<M>>>, config: BatchConfig) -> HashMap<u64, M> {
-    let _panic_closer = PanicCloser(&chan);
+/// The dedicated service thread: accumulate → flush, until shutdown.
+///
+/// When the thread ends, normally or by a panic in a model, its
+/// receiver and every pending request drop with it. That drops their
+/// reply senders, so every blocked caller wakes at once with
+/// [`LlmError::ServiceClosed`].
+fn service_loop<M: LanguageModel>(rx: Receiver<Msg<M>>, config: BatchConfig) -> HashMap<u64, M> {
     let mut sessions: HashMap<u64, M> = HashMap::new();
     let mut pending: Vec<PendingRequest> = Vec::new();
-    while let Some(msg) = chan.recv() {
-        handle_msg(msg, &mut sessions, &mut pending);
-        if pending.is_empty() {
-            continue;
-        }
+    let mut open = true;
+    while open {
+        let Ok(msg) = rx.recv() else { break };
+        open = handle_msg(msg, &mut sessions, &mut pending);
         // The flush window opens with the first pending prompt: gather
         // until the batch fills or `max_wait` elapses.
         let deadline = Instant::now() + config.max_wait;
-        while pending.len() < config.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match chan.recv_timeout(deadline - now) {
-                Recv::Item(msg) => handle_msg(msg, &mut sessions, &mut pending),
-                Recv::Timeout | Recv::Closed => break,
+        while open && !pending.is_empty() && pending.len() < config.max_batch {
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(msg) => open = handle_msg(msg, &mut sessions, &mut pending),
+                Err(_) => break,
             }
         }
-        let reason = if pending.len() >= config.max_batch {
-            FlushReason::Full
-        } else {
-            FlushReason::Timeout
-        };
-        flush(&mut sessions, &mut pending, config.round_trip, reason);
+        if open {
+            let reason = if pending.len() >= config.max_batch {
+                FlushReason::Full
+            } else {
+                FlushReason::Timeout
+            };
+            flush(&mut sessions, &mut pending, config.round_trip, reason);
+        }
     }
-    // Drain on shutdown: the queue is closed and empty; anything still
-    // pending (a partial window interrupted by close) is answered.
+    // Shutdown: a partial window interrupted by the stop is answered.
     flush(&mut sessions, &mut pending, config.round_trip, FlushReason::Shutdown);
     sessions
 }
 
+/// Applies one message; `false` means shutdown was requested.
 fn handle_msg<M: LanguageModel>(
     msg: Msg<M>,
     sessions: &mut HashMap<u64, M>,
     pending: &mut Vec<PendingRequest>,
-) {
+) -> bool {
     match msg {
         Msg::Open { session, model } => {
             sessions.insert(session, model);
@@ -703,16 +430,15 @@ fn handle_msg<M: LanguageModel>(
         Msg::Close { session } => {
             sessions.remove(&session);
         }
-        Msg::Request(request) => {
-            metrics().queue_depth.dec();
-            pending.push(request);
-        }
+        // Dropping `Queued` here lowers the queue-depth gauge.
+        Msg::Request(request, _queued) => pending.push(request),
+        Msg::Shutdown => return false,
     }
+    true
 }
 
 /// Answers one flush: one injected round trip for the whole batch, then
-/// each session's prompts go to its own model as one
-/// [`LanguageModel::complete_batch`] call, in submission order.
+/// each prompt goes to its own session's model, in arrival order.
 fn flush<M: LanguageModel>(
     sessions: &mut HashMap<u64, M>,
     pending: &mut Vec<PendingRequest>,
@@ -735,115 +461,59 @@ fn flush<M: LanguageModel>(
     if !round_trip.is_zero() {
         std::thread::sleep(round_trip);
     }
-    // Group by session, preserving both first-appearance session order
-    // and submission order within each session.
-    let mut groups: Vec<(u64, Vec<PendingRequest>)> = Vec::new();
     for request in pending.drain(..) {
-        match groups.iter_mut().find(|(session, _)| *session == request.session) {
-            Some((_, group)) => group.push(request),
-            None => groups.push((request.session, vec![request])),
-        }
-    }
-    for (session, group) in groups {
-        let (prompts, slots): (Vec<RepairPrompt>, Vec<Arc<Slot>>) =
-            group.into_iter().map(|r| (r.prompt, r.slot)).unzip();
-        match sessions.get_mut(&session) {
-            Some(model) => {
-                let mut results = model.complete_batch(&prompts).into_iter();
-                for slot in slots {
-                    // A malformed override returning too few results
-                    // must not strand a blocked caller.
-                    let result = results.next().unwrap_or_else(|| {
-                        Err(LlmError::NoResponse(
-                            "backend returned fewer batch results than prompts".to_string(),
-                        ))
-                    });
-                    slot.deliver(result, batch_size);
-                }
-            }
-            None => {
-                for slot in slots {
-                    slot.deliver(
-                        Err(LlmError::ServiceClosed(format!(
-                            "session {session} is not registered"
-                        ))),
-                        batch_size,
-                    );
-                }
-            }
-        }
+        let result = match sessions.get_mut(&request.session) {
+            Some(model) => model.complete(&request.prompt),
+            None => Err(LlmError::ServiceClosed(format!(
+                "session {} is not registered",
+                request.session
+            ))),
+        };
+        // A caller that went away no longer needs its answer.
+        let _ = request.reply.send(Delivery { result, batch_size });
     }
 }
 
 /// A session handle onto a [`BatchedLlm`] — the [`LlmService`] the
 /// pipeline actually holds when a campaign runs batched.
 pub struct LlmClient<M: LanguageModel + 'static> {
-    chan: Arc<Chan<Msg<M>>>,
+    tx: SyncSender<Msg<M>>,
     session: u64,
-    name: String,
-    next_ticket: u64,
-    outstanding: HashMap<u64, OutstandingTicket>,
     usage: Usage,
     stats: WaitStats,
 }
 
-struct OutstandingTicket {
-    slot: Arc<Slot>,
-    submitted: Instant,
-}
-
 impl<M: LanguageModel + 'static> std::fmt::Debug for LlmClient<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LlmClient")
-            .field("session", &self.session)
-            .field("backend", &self.name)
-            .finish()
+        f.debug_struct("LlmClient").field("session", &self.session).finish()
     }
 }
 
 impl<M: LanguageModel + 'static> LlmService for LlmClient<M> {
-    fn backend_name(&self) -> &str {
-        &self.name
-    }
-
-    fn submit(&mut self, prompt: &RepairPrompt) -> Ticket {
-        let ticket = Ticket(self.next_ticket);
-        self.next_ticket += 1;
-        let slot = Slot::new();
-        let request = PendingRequest {
-            session: self.session,
-            prompt: prompt.clone(),
-            slot: Arc::clone(&slot),
+    fn complete(&mut self, prompt: &RepairPrompt) -> Result<Completion, LlmError> {
+        let sent = Instant::now();
+        let (reply, answer) = mpsc::channel();
+        let request = PendingRequest { session: self.session, prompt: prompt.clone(), reply };
+        let closed = |why: &str| Delivery {
+            result: Err(LlmError::ServiceClosed(why.to_string())),
+            batch_size: 0,
         };
-        if self.chan.send(Msg::Request(request)).is_err() {
-            // Service already stopped: poison the slot so the error
-            // surfaces at redemption like any other failure.
-            slot.deliver(
-                Err(LlmError::ServiceClosed("service stopped before submission".to_string())),
-                0,
-            );
-        } else {
-            metrics().queue_depth.inc();
-        }
-        self.outstanding.insert(ticket.0, OutstandingTicket { slot, submitted: Instant::now() });
-        ticket
-    }
-
-    fn await_completion(&mut self, ticket: Ticket) -> Result<Completion, LlmError> {
-        let outstanding = self.outstanding.remove(&ticket.0).ok_or_else(|| {
-            LlmError::NoResponse(format!("ticket #{} was never issued by this handle", ticket.0))
-        })?;
-        let delivery = outstanding.slot.wait(&|| self.chan.is_closed());
-        let waited = outstanding.submitted.elapsed();
-        self.stats.tickets += 1;
+        let delivery = match self.tx.send(Msg::Request(request, Queued::enter())) {
+            Ok(()) => answer
+                .recv()
+                .unwrap_or_else(|_| closed("request was never answered (service shut down)")),
+            Err(_) => closed("service stopped before the request was sent"),
+        };
+        let waited = sent.elapsed();
+        self.stats.calls += 1;
         self.stats.wait += waited;
         self.stats.max_batch = self.stats.max_batch.max(delivery.batch_size);
         let m = metrics();
         m.tickets.inc();
         m.ticket_wait_us.record(waited.as_micros() as u64);
         if let Ok(completion) = &delivery.result {
-            // The per-ticket usage delta: exactly what the backend
-            // recorded for this completion, attributed to this handle.
+            // The per-call usage delta: exactly what the backend recorded
+            // for this completion, attributed to this handle.
             self.usage.record(completion);
         }
         delivery.result
@@ -861,7 +531,7 @@ impl<M: LanguageModel + 'static> LlmService for LlmClient<M> {
 impl<M: LanguageModel + 'static> Drop for LlmClient<M> {
     fn drop(&mut self) {
         // Best effort: free the session's model on the service thread.
-        let _ = self.chan.send(Msg::Close { session: self.session });
+        let _ = self.tx.send(Msg::Close { session: self.session });
     }
 }
 
@@ -880,10 +550,9 @@ pub fn endpoint_gate() -> EndpointGate {
 }
 
 /// Wraps a backend with a fixed per-round-trip latency on an exclusive
-/// connection: `complete` pays one round trip per prompt,
-/// `complete_batch` one round trip for the whole batch. This is the
-/// workload model under which the batched service's overlap win is
-/// benchmarked (`BENCH_kernels.json`'s `llm_overlap` record).
+/// connection: every `complete` pays one round trip. This is the
+/// direct-mode workload model the batched service's overlap win is
+/// measured against.
 #[derive(Debug)]
 pub struct SlowLlm<M: LanguageModel> {
     inner: M,
@@ -909,12 +578,6 @@ impl<M: LanguageModel> LanguageModel for SlowLlm<M> {
         self.inner.complete(prompt)
     }
 
-    fn complete_batch(&mut self, prompts: &[RepairPrompt]) -> Vec<Result<Completion, LlmError>> {
-        let _connection = self.gate.lock().expect("endpoint gate poisoned");
-        std::thread::sleep(self.round_trip);
-        self.inner.complete_batch(prompts)
-    }
-
     fn usage(&self) -> Usage {
         self.inner.usage()
     }
@@ -934,22 +597,39 @@ mod tests {
         ScriptedLlm::new(responses.iter().map(|s| s.to_string()))
     }
 
+    /// Runs each client's calls on its own thread (one blocked caller
+    /// per thread, as campaign workers are) and returns each client's
+    /// answers in call order, plus the clients for their stats.
+    fn concurrently<M: LanguageModel + 'static>(
+        clients: Vec<(LlmClient<M>, usize)>,
+    ) -> Vec<(Vec<String>, LlmClient<M>)> {
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = clients
+                .into_iter()
+                .map(|(mut client, calls)| {
+                    scope.spawn(move || {
+                        let answers =
+                            (0..calls).map(|_| client.complete(&prompt()).unwrap().content);
+                        (answers.collect(), client)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        })
+    }
+
     #[test]
     fn direct_service_round_trips() {
         let mut service = DirectService::new(scripted(&["one", "two"]));
-        let a = service.submit(&prompt());
-        let b = service.submit(&prompt());
-        assert_eq!(service.await_completion(a).unwrap().content, "one");
-        assert_eq!(service.await_completion(b).unwrap().content, "two");
+        assert_eq!(service.complete(&prompt()).unwrap().content, "one");
+        assert_eq!(service.complete(&prompt()).unwrap().content, "two");
         assert!(service.complete(&prompt()).is_err(), "scripted backend exhausted");
         assert_eq!(service.usage().calls, 2);
         let stats = service.wait_stats();
-        // Three tickets were redeemed (the exhausted-backend error is a
-        // redemption too); only two produced completions.
-        assert_eq!(stats.tickets, 3);
+        // Three calls were answered (the exhausted-backend error is an
+        // answer too); only two produced completions.
+        assert_eq!(stats.calls, 3);
         assert_eq!(stats.max_batch, 1);
-        // Unknown tickets are an error, not a hang.
-        assert!(matches!(service.await_completion(a), Err(LlmError::NoResponse(_))));
     }
 
     #[test]
@@ -959,15 +639,16 @@ mod tests {
             max_wait: Duration::from_secs(30),
             ..BatchConfig::default()
         });
-        let mut client = service.client(scripted(&["one", "two", "three"]));
-        let tickets: Vec<Ticket> = (0..3).map(|_| client.submit(&prompt())).collect();
-        let contents: Vec<String> =
-            tickets.into_iter().map(|t| client.await_completion(t).unwrap().content).collect();
-        // The batch fills long before max_wait, answers arrive in
-        // submission order, and all three rode one flush.
-        assert_eq!(contents, ["one", "two", "three"]);
-        assert_eq!(client.wait_stats().max_batch, 3);
-        assert!(client.wait_stats().wait < Duration::from_secs(10));
+        let clients =
+            ["one", "two", "three"].map(|answer| (service.client(scripted(&[answer])), 1));
+        let answered = concurrently(clients.into());
+        // The batch fills long before max_wait, each session gets its own
+        // model's answer, and all three rode one flush.
+        for ((answers, client), expected) in answered.iter().zip(["one", "two", "three"]) {
+            assert_eq!(answers, &[expected]);
+            assert_eq!(client.wait_stats().max_batch, 3);
+            assert!(client.wait_stats().wait < Duration::from_secs(10));
+        }
     }
 
     #[test]
@@ -978,8 +659,7 @@ mod tests {
             ..BatchConfig::default()
         });
         let mut client = service.client(scripted(&["lone"]));
-        let ticket = client.submit(&prompt());
-        assert_eq!(client.await_completion(ticket).unwrap().content, "lone");
+        assert_eq!(client.complete(&prompt()).unwrap().content, "lone");
         assert_eq!(client.wait_stats().max_batch, 1, "partial flush of one");
     }
 
@@ -991,38 +671,43 @@ mod tests {
             ..BatchConfig::default()
         });
         let mut client = service.client(scripted(&["one", "two"]));
-        let a = client.submit(&prompt());
-        let b = client.submit(&prompt());
-        // Stop while the flush window is still gathering: close must
-        // flush the partial batch, not strand it.
+        // Queue two requests straight into the channel, then stop while
+        // the flush window is still gathering: the stop must answer the
+        // partial batch, not strand it.
+        let answers: Vec<Receiver<Delivery>> = (0..2)
+            .map(|_| {
+                let (reply, answer) = mpsc::channel();
+                let request = PendingRequest { session: client.session, prompt: prompt(), reply };
+                service.tx.send(Msg::Request(request, Queued::enter())).unwrap();
+                answer
+            })
+            .collect();
         let models = service.stop();
         assert_eq!(models.len(), 1);
-        assert_eq!(client.await_completion(a).unwrap().content, "one");
-        assert_eq!(client.await_completion(b).unwrap().content, "two");
-        // Submissions after shutdown fail at redemption.
-        let late = client.submit(&prompt());
-        assert!(matches!(client.await_completion(late), Err(LlmError::ServiceClosed(_))));
+        let contents: Vec<String> =
+            answers.iter().map(|a| a.recv().unwrap().result.unwrap().content).collect();
+        assert_eq!(contents, ["one", "two"]);
+        // Calls after shutdown fail at once.
+        assert!(matches!(client.complete(&prompt()), Err(LlmError::ServiceClosed(_))));
     }
 
     #[test]
     fn sessions_keep_their_own_models_and_order() {
         let service = BatchedLlm::start(BatchConfig {
-            max_batch: 3,
+            max_batch: 2,
             max_wait: Duration::from_secs(30),
             ..BatchConfig::default()
         });
-        let mut alice = service.client(scripted(&["a1", "a2"]));
-        let mut bob = service.client(scripted(&["b1"]));
-        let a1 = alice.submit(&prompt());
-        let b1 = bob.submit(&prompt());
-        let a2 = alice.submit(&prompt());
-        // One flush of three, two sessions: each model answers only its
-        // own prompts, in its own submission order.
-        assert_eq!(alice.await_completion(a1).unwrap().content, "a1");
-        assert_eq!(alice.await_completion(a2).unwrap().content, "a2");
-        assert_eq!(bob.await_completion(b1).unwrap().content, "b1");
-        assert_eq!(alice.wait_stats().max_batch, 3);
-        assert_eq!(bob.wait_stats().max_batch, 3);
+        let alice = service.client(scripted(&["a1", "a2"]));
+        let bob = service.client(scripted(&["b1", "b2"]));
+        let answered = concurrently(vec![(alice, 2), (bob, 2)]);
+        // Each flush carries one prompt per session; each model answers
+        // only its own prompts, in its own call order.
+        assert_eq!(answered[0].0, ["a1", "a2"]);
+        assert_eq!(answered[1].0, ["b1", "b2"]);
+        for (_, client) in &answered {
+            assert_eq!(client.wait_stats().max_batch, 2);
+        }
     }
 
     #[test]
@@ -1082,22 +767,47 @@ mod tests {
         assert_eq!(direct.usage(), client.usage());
     }
 
-    #[test]
-    fn slow_llm_amortizes_round_trips_across_a_batch() {
-        let gate = endpoint_gate();
-        let rtt = Duration::from_millis(10);
-        let mut slow = SlowLlm::new(scripted(&["a", "b", "c"]), rtt, Arc::clone(&gate));
-        let prompts = vec![prompt(), prompt(), prompt()];
-        let start = Instant::now();
-        let results = slow.complete_batch(&prompts);
-        let batched_elapsed = start.elapsed();
-        assert!(results.iter().all(Result::is_ok));
-        assert!(batched_elapsed < rtt * 3, "one round trip for the batch, not three");
+    /// A backend whose every call panics on the service thread.
+    struct PanickingLlm;
 
-        let mut slow = SlowLlm::new(scripted(&["a", "b", "c"]), rtt, gate);
+    impl LanguageModel for PanickingLlm {
+        fn name(&self) -> &str {
+            "panicking"
+        }
+
+        fn complete(&mut self, _: &RepairPrompt) -> Result<Completion, LlmError> {
+            panic!("model crashed on the service thread");
+        }
+
+        fn usage(&self) -> Usage {
+            Usage::default()
+        }
+    }
+
+    #[test]
+    fn a_panicking_model_closes_the_waiting_call() {
+        let service = BatchedLlm::start(BatchConfig {
+            max_batch: 1,
+            max_wait: Duration::from_secs(30),
+            ..BatchConfig::default()
+        });
+        let mut client = service.client(PanickingLlm);
+        let started = Instant::now();
+        let result = client.complete(&prompt());
+        assert!(matches!(result, Err(LlmError::ServiceClosed(_))), "got {result:?}");
+        assert!(started.elapsed() < Duration::from_secs(10), "the caller must not hang");
+        // The dead service rejects later calls too, and stops cleanly.
+        assert!(matches!(client.complete(&prompt()), Err(LlmError::ServiceClosed(_))));
+        assert!(service.stop().is_empty(), "the panicked thread returns no models");
+    }
+
+    #[test]
+    fn slow_llm_pays_one_round_trip_per_prompt() {
+        let rtt = Duration::from_millis(10);
+        let mut slow = SlowLlm::new(scripted(&["a", "b", "c"]), rtt, endpoint_gate());
         let start = Instant::now();
-        for p in &prompts {
-            slow.complete(p).unwrap();
+        for _ in 0..3 {
+            slow.complete(&prompt()).unwrap();
         }
         assert!(start.elapsed() >= rtt * 3, "per-prompt completion pays per-prompt round trips");
     }

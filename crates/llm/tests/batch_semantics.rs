@@ -1,16 +1,16 @@
-//! `complete_batch` partial-failure semantics, through every layer
-//! that batches: the trait-level default, [`FaultyLlm`]'s injector, and
-//! the [`BatchedLlm`] service's ticket protocol.
+//! Partial-failure semantics of the LLM layers: [`FaultyLlm`]'s
+//! injector and the [`BatchedLlm`] service's flushes.
 //!
-//! The contract under test: a failed prompt fails *its own* slot and
-//! nothing else. Sibling prompts in the same batch get exactly the
-//! completions a failure-free run would have delivered, and the
-//! accounting ([`Usage`]) reflects only the completions that actually
-//! arrived — a batch with failures in it never books phantom calls.
+//! The contract under test: a failed prompt fails *its own* call and
+//! nothing else. Sibling prompts get exactly the completions a
+//! failure-free run would have delivered, and the accounting
+//! ([`Usage`]) reflects only the completions that actually arrived — a
+//! flush with failures in it never books phantom calls.
 
+use std::time::Duration;
 use uvllm_llm::{
-    AgentRole, BatchConfig, BatchedLlm, FaultPlan, FaultyLlm, LlmError, LlmService, RepairPrompt,
-    ScriptedLlm, Usage,
+    AgentRole, BatchConfig, BatchedLlm, DirectService, FaultPlan, FaultyLlm, LanguageModel,
+    LlmError, LlmService, RepairPrompt, ScriptedLlm, Usage,
 };
 
 fn prompt(tag: &str) -> RepairPrompt {
@@ -25,39 +25,14 @@ fn scripts(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("{{\"module name\": \"m{i}\", \"analysis\": \"a\"}}")).collect()
 }
 
-/// Trait-level default batch: an exhausted scripted backend answers the
-/// prefix it has scripts for and fails the tail, slot by slot.
-#[test]
-fn batch_failures_land_in_their_own_slots() {
-    use uvllm_llm::LanguageModel;
-    let mut model = ScriptedLlm::new(scripts(2));
-    let prompts: Vec<RepairPrompt> = ["a", "b", "c", "d"].iter().map(|t| prompt(t)).collect();
-    let results = model.complete_batch(&prompts);
-    assert_eq!(results.len(), 4, "one result per prompt, failures included");
-    assert!(results[0].is_ok() && results[1].is_ok());
-    for failed in &results[2..] {
-        assert!(
-            matches!(failed, Err(LlmError::NoResponse(_))),
-            "exhausted slots fail as NoResponse: {failed:?}"
-        );
-    }
-    // Accounting counts the two delivered completions, nothing else.
-    assert_eq!(model.usage().calls, 2);
-    let delivered: u64 =
-        results.iter().flatten().map(|c| c.prompt_tokens + c.completion_tokens).sum();
-    assert_eq!(model.usage().prompt_tokens + model.usage().completion_tokens, delivered);
-}
-
-/// Injected faults error their own slot; sibling slots receive the
-/// fault-free completions in script order (the injector fabricates
-/// faults without consuming the inner model's stream).
+/// Injected faults error their own call; the calls between them
+/// receive the fault-free completions in script order (the injector
+/// fabricates faults without consuming the inner model's stream).
 #[test]
 fn injected_batch_faults_do_not_shift_sibling_answers() {
-    use uvllm_llm::LanguageModel;
     let plan = FaultPlan { error_rate: 0.4, ..FaultPlan::default() };
     let mut model = FaultyLlm::new(ScriptedLlm::new(scripts(8)), plan);
-    let prompts: Vec<RepairPrompt> = (0..8).map(|i| prompt(&format!("p{i}"))).collect();
-    let results = model.complete_batch(&prompts);
+    let results: Vec<_> = (0..8).map(|i| model.complete(&prompt(&format!("p{i}")))).collect();
     let errors = results.iter().filter(|r| r.is_err()).count();
     assert!(errors > 0 && errors < 8, "0.4 over 8 draws must fault some but not all: {errors}");
     // The k-th delivered completion is the k-th script — faulted
@@ -71,32 +46,37 @@ fn injected_batch_faults_do_not_shift_sibling_answers() {
     assert_eq!(model.usage().calls, delivered.len() as u64);
 }
 
-/// The batched service routes per-slot failures to the right tickets
-/// and books usage only for delivered completions: a 4-ticket flush
-/// with 2 failures accounts exactly like a 2-ticket failure-free run.
+/// Two sessions share one flush; one session's model is exhausted. The
+/// failure lands on that session's call only, the other session gets
+/// its answer, and usage is booked only for the delivered completion.
 #[test]
 fn service_tickets_isolate_batch_failures() {
-    let service = BatchedLlm::start(BatchConfig { max_batch: 4, ..BatchConfig::default() });
-    let mut client = service.client(ScriptedLlm::new(scripts(2)));
-    let tickets: Vec<_> = ["a", "b", "c", "d"].iter().map(|t| client.submit(&prompt(t))).collect();
-    let mut outcomes = Vec::new();
-    for ticket in tickets {
-        outcomes.push(client.await_completion(ticket));
-    }
-    assert!(outcomes[0].is_ok() && outcomes[1].is_ok(), "scripted slots answer");
+    let service = BatchedLlm::start(BatchConfig {
+        max_batch: 2,
+        max_wait: Duration::from_secs(30),
+        ..BatchConfig::default()
+    });
+    let mut exhausted = service.client(ScriptedLlm::new(scripts(0)));
+    let mut answered = service.client(ScriptedLlm::new(scripts(1)));
+    let (failed, delivered) = std::thread::scope(|scope| {
+        let failed = scope.spawn(|| exhausted.complete(&prompt("a")));
+        let delivered = scope.spawn(|| answered.complete(&prompt("b")));
+        (failed.join().unwrap(), delivered.join().unwrap())
+    });
     assert!(
-        matches!(&outcomes[2], Err(LlmError::NoResponse(_)))
-            && matches!(&outcomes[3], Err(LlmError::NoResponse(_))),
-        "exhausted slots fail their own tickets: {outcomes:?}"
+        matches!(&failed, Err(LlmError::NoResponse(_))),
+        "the exhausted session fails its own call: {failed:?}"
     );
-    let mixed_usage = client.usage();
-
-    // Reference: the same two surviving prompts, no failures.
-    let mut reference = service.client(ScriptedLlm::new(scripts(2)));
-    let tickets: Vec<_> = ["a", "b"].iter().map(|t| reference.submit(&prompt(t))).collect();
-    for ticket in tickets {
-        reference.await_completion(ticket).expect("failure-free run");
+    let delivered = delivered.expect("the sibling session gets its answer");
+    assert_eq!(delivered.content, scripts(1)[0]);
+    for client in [&exhausted, &answered] {
+        assert_eq!(client.wait_stats().max_batch, 2, "both calls rode one flush");
     }
-    assert_eq!(mixed_usage, reference.usage(), "failed siblings must not perturb accounting");
-    assert_ne!(mixed_usage, Usage::default(), "the comparison is not vacuous");
+    assert_eq!(exhausted.usage(), Usage::default(), "a failed call books nothing");
+
+    // Reference: the same surviving prompt, no failing sibling.
+    let mut reference = DirectService::new(ScriptedLlm::new(scripts(1)));
+    reference.complete(&prompt("b")).expect("failure-free run");
+    assert_eq!(answered.usage(), reference.usage(), "a failed sibling must not perturb accounting");
+    assert_ne!(answered.usage(), Usage::default(), "the comparison is not vacuous");
 }

@@ -369,13 +369,11 @@ fn run_campaign() -> Result<(), String> {
         outcome.elab_stats.misses,
         outcome.elab_stats.entries,
     );
-    let tickets = outcome.metrics.counter("llm.tickets").unwrap_or(0);
+    let calls = outcome.metrics.counter("llm.tickets").unwrap_or(0);
     let flushes = outcome.metrics.counter("llm.flushes").unwrap_or(0);
     let prompts = outcome.metrics.counter("llm.flushed_prompts").unwrap_or(0);
     let mean_batch = if flushes > 0 { prompts as f64 / flushes as f64 } else { 0.0 };
-    println!(
-        "llm service: {tickets} tickets across {flushes} flushes (mean batch {mean_batch:.2})",
-    );
+    println!("llm service: {calls} calls across {flushes} flushes (mean batch {mean_batch:.2})");
     if config.resilience.is_some() || config.pool.job_deadline.is_some() {
         println!(
             "resilience: {} retries, {} breaker transitions, {} degraded; \

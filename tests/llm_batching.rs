@@ -103,7 +103,7 @@ fn telemetry_rows_carry_wait_members_and_strip_back_to_canonical() {
 fn per_job_usage_attribution_is_preserved_by_batching() {
     // Byte-identity already implies this, but assert the accounting
     // columns explicitly: each job's usage on the shared service equals
-    // its usage on a private model — the per-ticket delta contract.
+    // its usage on a private model — the per-call delta contract.
     let direct = sorted_lines(llm_config(1));
     let mut config = llm_config(4);
     config.llm_batch = Some(BatchConfig { max_batch: 6, ..BatchConfig::default() });

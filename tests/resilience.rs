@@ -4,7 +4,7 @@
 //!   injected at double-digit rates, absorbed by the resilient
 //!   service's retries, produces rows byte-identical to the fault-free
 //!   run (the injector fabricates faults
-//!   without consuming the model's stream, so a retried ticket lands on
+//!   without consuming the model's stream, so a retried call lands on
 //!   exactly the completion the clean run saw);
 //! * **replay** — the same `--fault-seed` produces the same fault
 //!   sequence, rows and resilience counters, twice;
@@ -18,7 +18,7 @@
 use std::sync::Mutex;
 use std::time::Duration;
 use uvllm_campaign::{
-    Campaign, CampaignConfig, FaultPlan, MemorySink, MethodKind, ResiliencePolicy,
+    BatchConfig, Campaign, CampaignConfig, FaultPlan, MemorySink, MethodKind, ResiliencePolicy,
 };
 
 /// The replay test measures *deltas* of the process-global resilience
@@ -67,15 +67,24 @@ fn faulted_rows_match_the_fault_free_baseline() {
     let _serial = FAULT_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let baseline = sorted_rows(config());
     assert_eq!(baseline.len(), 24, "8 instances x 3 methods");
-    let mut faulted = config();
-    faulted.fault = Some(faults());
-    faulted.resilience = Some(retries(8));
-    let rows = sorted_rows(faulted);
-    assert!(
-        !rows.iter().any(|r| r.contains("\"degraded\"")),
-        "8 retries must absorb 25% fault rates without degrading"
-    );
-    assert_eq!(rows, baseline, "faulted rows must match the fault-free run");
+    // Per-job direct services, and sessions of one shared batched
+    // service: the retry loop sits above either transport.
+    for llm_batch in [None, Some(BatchConfig { max_batch: 4, ..BatchConfig::default() })] {
+        let batched = llm_batch.is_some();
+        let mut faulted = config();
+        faulted.fault = Some(faults());
+        faulted.resilience = Some(retries(8));
+        faulted.llm_batch = llm_batch;
+        let rows = sorted_rows(faulted);
+        assert!(
+            !rows.iter().any(|r| r.contains("\"degraded\"")),
+            "8 retries must absorb 25% fault rates without degrading (batched: {batched})"
+        );
+        assert_eq!(
+            rows, baseline,
+            "faulted rows must match the fault-free run (batched: {batched})"
+        );
+    }
 }
 
 #[test]
